@@ -241,7 +241,7 @@ func SchedWeights() []int { return []int{4, 2, 1} }
 // inter-guest L2 switch. The scheduler rows run the contended transmit
 // workload — every guest permanently backlogged, service budgeted per
 // crossing — so the per-guest completion counts are the scheduler's
-// share decisions: equal weights reproduce the classic round-robin,
+// share decisions: equal weights are plain round-robin,
 // 4:2:1 weights land every guest within a few percent of its weight
 // share at 8, 64 and 256 guests, and a rate cap binds a guest below its
 // weight. The switch rows compare guest→guest delivery through the
@@ -277,7 +277,7 @@ func runSchedSweep(w io.Writer, quick bool, bench *report.Bench) error {
 	weighted64 := results[2]
 	fmt.Fprintf(w, "at 64 guests weighted 4:2:1, the worst guest's share deviates %.2f%%\n",
 		weighted64.MaxShareErrPct)
-	fmt.Fprintf(w, "from its weight share; equal weights reproduce the classic round-robin.\n\n")
+	fmt.Fprintf(w, "from its weight share; equal weights are plain round-robin.\n\n")
 
 	var vres []*netbench.VswitchResult
 	for _, name := range drivermodel.Names() {

@@ -815,7 +815,7 @@ func attackTxRingFlood(s *Soak, g *soakGuest) error {
 // budgeted service crossings — one full scheduler cycle's worth of
 // descriptors per crossing — the victim's frame must reach the wire
 // within a small bounded number of crossings regardless of the backlog
-// imbalance: the scheduler (classic round-robin or weighted DRR alike)
+// imbalance: the scheduler (at unit weights or weighted alike)
 // may not starve a backlogged guest behind a noisy neighbor.
 func attackSchedNoisyNeighbor(s *Soak, g *soakGuest) error {
 	if err := s.serviceAll(); err != nil { // start from an empty ring
@@ -845,7 +845,7 @@ func attackSchedNoisyNeighbor(s *Soak, g *soakGuest) error {
 		return nil // abort mid-stage, or the victim's ring refused the frame
 	}
 	// One scheduler cycle per crossing: every guest's weight in
-	// descriptors (weight 1 apiece under the classic sweep). The budget is
+	// descriptors (weight 1 apiece when none are set). The budget is
 	// per queue, so a sharded victim sees at least its own shard's cycle.
 	budget := 0
 	for _, other := range s.guests {

@@ -121,7 +121,7 @@ type Config struct {
 
 	// Weights sets per-guest deficit-round-robin weights (applied
 	// cyclically over the guest list, see core.TwinConfig.Weights); nil
-	// keeps the classic equal round-robin sweep. Every ledger and
+	// weighs every guest 1 (plain round-robin). Every ledger and
 	// invariant is weight-agnostic — weights change service order and
 	// share, never whether a frame is accounted.
 	Weights []int

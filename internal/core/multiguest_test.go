@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"twindrivers/internal/mem"
+	"twindrivers/internal/telemetry"
 	"twindrivers/internal/xen"
 )
 
@@ -219,6 +220,57 @@ func TestHostileRingHeaderContained(t *testing.T) {
 	// GuestTransmitBatch reset the ring on the way out: transmit works again.
 	if sent, err := tw.GuestTransmitBatch(d, guestFrames(d, 0, 2, 400)); err != nil || sent != 2 {
 		t.Fatalf("post-reset batch: sent=%d err=%v", sent, err)
+	}
+}
+
+// TestSweepEndCountsOnlyConsumedDescriptors is the regression test for
+// the sweep's consumed count: a corrupt ring header — on the staged ring
+// or the posted-TX ring — fails the sweep before any descriptor is
+// popped, so the count EvSweepEnd reports must equal the frames the wire
+// saw, not one more.
+func TestSweepEndCountsOnlyConsumedDescriptors(t *testing.T) {
+	for _, ring := range []string{"staged", "posted"} {
+		t.Run(ring, func(t *testing.T) {
+			tr := telemetry.New(0)
+			m, tw, err := NewTwinMachine(1, 2, TwinConfig{Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := m.Devs[0]
+			got := capture(d)
+			honest, evil := m.Guests[0], m.Guests[1]
+			if _, err := tw.StageTransmitBatch(honest, guestFrames(d, 0, 3, 400)); err != nil {
+				t.Fatal(err)
+			}
+			eio := tw.guestIO[evil.ID]
+			scribbled := eio.txRing
+			if ring == "staged" {
+				scribbled = eio.ring
+				if _, err := tw.StageTransmitBatch(evil, guestFrames(d, 1, 3, 400)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The guest scribbles its guest-writable tail word.
+			if err := evil.AS.Store(scribbled.Base+8, 4, 0xFFFFFFF0); err != nil {
+				t.Fatal(err)
+			}
+			// Round-robin reaches the evil guest after one honest frame.
+			if _, err := tw.ServiceRings(d, 0); !errors.Is(err, mem.ErrRingCorrupt) {
+				t.Fatalf("ServiceRings err = %v, want ErrRingCorrupt", err)
+			}
+			var ends []telemetry.Event
+			for _, e := range tw.qLanes[0].Events() {
+				if e.Kind == telemetry.EvSweepEnd {
+					ends = append(ends, e)
+				}
+			}
+			if len(ends) != 1 {
+				t.Fatalf("recorded %d sweep ends, want 1", len(ends))
+			}
+			if len(*got) != 1 || ends[0].B != uint64(len(*got)) {
+				t.Fatalf("EvSweepEnd reports %d consumed, the wire saw %d frames (want 1)", ends[0].B, len(*got))
+			}
+		})
 	}
 }
 

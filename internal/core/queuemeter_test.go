@@ -49,58 +49,99 @@ func runShardedTraffic(t *testing.T, guests, queues int) (*core.Machine, *core.T
 
 // TestServiceAllQueuesMatchesSequential pins the parallel sweep to the
 // sequential one: the same staged workload serviced by ServiceAllQueues
-// (one goroutine per queue) must report the same per-guest sent counts
-// and put the same per-guest frame sequence on the wire as ServiceRings.
-// Run under -race in CI, this is also the shared-nothing proof for the
-// per-queue hot path.
+// (one goroutine per queue) must report the same per-guest sent counts,
+// put the same per-guest frame sequence on the wire and charge the same
+// cycles — machine meter and every queue's own — as ServiceRings. Both
+// cases run the default configuration (nil Weights): a full drain, and
+// crossings budgeted to cut every queue's sweep mid-backlog. Run under
+// -race in CI, this is also the shared-nothing proof for the per-queue
+// hot path.
 func TestServiceAllQueuesMatchesSequential(t *testing.T) {
-	run := func(parallel bool) (map[mem.Owner]int, map[int][][]byte) {
+	type outcome struct {
+		sent   map[mem.Owner]int
+		wire   map[int][][]byte
+		cycles []string // machine meter, then each queue's
+	}
+	run := func(parallel bool, budget int) outcome {
 		m, tw, err := core.NewTwinMachineModel(1, 4, mqnic.DriverModel(), core.TwinConfig{Queues: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := m.Devs[0]
 		var mu sync.Mutex
-		byGuest := make(map[int][][]byte)
+		out := outcome{wire: make(map[int][][]byte)}
 		d.Dev.SetOnTransmit(func(pkt []byte) {
 			mu.Lock()
 			defer mu.Unlock()
 			// Source MAC byte 5 tags the staging guest (set below).
-			byGuest[int(pkt[11])] = append(byGuest[int(pkt[11])], append([]byte(nil), pkt...))
+			out.wire[int(pkt[11])] = append(out.wire[int(pkt[11])], append([]byte(nil), pkt...))
 		})
-		for gi, dom := range m.Guests {
-			frames := make([][]byte, 6)
-			for i := range frames {
-				payload := make([]byte, 300+i)
-				for j := range payload {
-					payload[j] = byte(gi*31 + i + j)
+		const perGuest = 6
+		stage := func() {
+			for gi, dom := range m.Guests {
+				frames := make([][]byte, perGuest)
+				for i := range frames {
+					payload := make([]byte, 300+i)
+					for j := range payload {
+						payload[j] = byte(gi*31 + i + j)
+					}
+					frames[i] = core.EthernetFrame(
+						[6]byte{2, 2, 2, 2, 2, 2},
+						[6]byte{0x02, 0x61, 0, 0, byte(i), byte(gi)},
+						0x0800, payload)
 				}
-				frames[i] = core.EthernetFrame(
-					[6]byte{2, 2, 2, 2, 2, 2},
-					[6]byte{0x02, 0x61, 0, 0, byte(i), byte(gi)},
-					0x0800, payload)
-			}
-			if _, err := tw.StageTransmitBatch(dom, frames); err != nil {
-				t.Fatalf("guest %d stage: %v", gi, err)
+				if _, err := tw.StageTransmitBatch(dom, frames); err != nil {
+					t.Fatalf("guest %d stage: %v", gi, err)
+				}
 			}
 		}
+		// One warm-up drain first. The queues' meters are private but the
+		// stlb is shared, so whichever queue runs first pays its first
+		// touches — and the goroutines' order is the Go scheduler's. Past
+		// the first touches a queue's cycles do not depend on the order.
+		stage()
+		if _, err := tw.ServiceRings(d, 0); err != nil {
+			t.Fatalf("warm-up: %v", err)
+		}
+		m.HV.Meter.Reset()
+		tw.ResetQueueMeters()
+		out.sent, out.wire = make(map[mem.Owner]int), make(map[int][][]byte)
+		stage()
 		service := tw.ServiceRings
 		if parallel {
 			service = tw.ServiceAllQueues
 		}
-		sent, err := service(d, 0)
-		if err != nil {
-			t.Fatalf("service (parallel=%v): %v", parallel, err)
+		for total := 0; total < perGuest*len(m.Guests); {
+			sent, err := service(d, budget)
+			if err != nil {
+				t.Fatalf("service (parallel=%v, budget=%d): %v", parallel, budget, err)
+			}
+			for id, n := range sent {
+				out.sent[id] += n
+				total += n
+			}
+			if len(sent) == 0 {
+				t.Fatalf("crossing made no progress at %d frames", total)
+			}
 		}
-		return sent, byGuest
+		out.cycles = append(out.cycles, m.HV.Meter.String())
+		for _, qm := range tw.QueueMeters() {
+			out.cycles = append(out.cycles, qm.String())
+		}
+		return out
 	}
-	seqSent, seqWire := run(false)
-	parSent, parWire := run(true)
-	if !reflect.DeepEqual(seqSent, parSent) {
-		t.Fatalf("sent maps differ: sequential %v, parallel %v", seqSent, parSent)
-	}
-	if !reflect.DeepEqual(seqWire, parWire) {
-		t.Fatal("per-guest wire sequences differ between sequential and parallel service")
+	// Budget 4 cuts every queue's sweep (6 staged per queue) mid-backlog.
+	for _, budget := range []int{0, 4} {
+		seq, par := run(false, budget), run(true, budget)
+		if !reflect.DeepEqual(seq.sent, par.sent) {
+			t.Fatalf("budget %d: sent maps differ: sequential %v, parallel %v", budget, seq.sent, par.sent)
+		}
+		if !reflect.DeepEqual(seq.wire, par.wire) {
+			t.Fatalf("budget %d: per-guest wire sequences differ between sequential and parallel service", budget)
+		}
+		if !reflect.DeepEqual(seq.cycles, par.cycles) {
+			t.Fatalf("budget %d: cycles differ:\n sequential %v\n parallel   %v", budget, seq.cycles, par.cycles)
+		}
 	}
 }
 

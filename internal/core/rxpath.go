@@ -248,7 +248,7 @@ type pageSpan struct {
 // start of each chunk — the per-page discipline every copy into
 // separately-translated memory must follow: a buffer straddling a page
 // boundary must never inherit the first page's translation for bytes on
-// the second (the xmitOne header-copy bug class). All pages translate
+// the second (the transmit header-copy bug class). All pages translate
 // before the caller moves a byte, so its copy is all-or-nothing.
 func pageSpans(addr uint32, n int, translate func(uint32) (uint32, error)) ([]pageSpan, error) {
 	var spans []pageSpan

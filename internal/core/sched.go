@@ -13,17 +13,15 @@ import (
 
 // Weighted-fair service scheduling and the inter-guest L2 switch.
 //
-// The classic sweep (twinbatch.go sweepQueue) is strict round-robin:
-// one staged descriptor plus one posted descriptor per guest per pass,
-// every guest equal. A production host serves hundreds of tenants with
-// different SLAs; this file replaces that loop — only when the
-// configuration asks for it — with deficit round-robin (DRR):
+// A production host serves hundreds of tenants with different SLAs, so
+// the one service sweep is deficit round-robin (DRR):
 //
 //   - Each guest has a WEIGHT. Every round the guest's deficit counter
 //     grows by its weight (the quantum), and the sweep consumes one
 //     descriptor per deficit unit, so long-run throughput shares are
 //     proportional to weights: a weight-4 guest gets 4 descriptors for
-//     every 1 a weight-1 guest gets, regardless of backlog depth.
+//     every 1 a weight-1 guest gets, regardless of backlog depth. With
+//     every weight 1 (nil TwinConfig.Weights) this is plain round-robin.
 //   - The scheduler is WORK-CONSERVING: a guest with nothing staged has
 //     its deficit zeroed (it cannot hoard credit while idle), and the
 //     round loop keeps serving whoever has backlog until the budget is
@@ -37,61 +35,35 @@ import (
 //     progress, so the sweep still terminates when only capped guests
 //     have backlog.
 //
-// Activation is the repo's usual identity pin: nil Weights and nil
-// Rates (the default) never reach this file — sweepQueue dispatches
-// here only when t.drr is set, so every existing baseline keeps the
-// classic loop operation-for-operation.
-//
-// The inter-guest switch hooks the two transmit paths (xmitOne,
-// xmitPosted) behind a nil check: with TwinConfig.Switch set, each
-// frame's Ethernet header is classified by internal/vswitch before the
-// derived driver runs. Guest→guest unicast is copied into a pooled
-// dom0 sk_buff and queued straight onto the destination guest's
-// receive queue — the same queue the device demux fills, so both the
-// copy-mode and posted-buffer delivery paths work unchanged — and the
-// device is never touched: the whole NIC round-trip (driver TX, wire,
-// IRQ, driver RX) is replaced by one classify + one copy.
+// The inter-guest switch hooks the transmit path (xmit) behind a nil
+// check: with TwinConfig.Switch set, each frame's Ethernet header is
+// classified by internal/vswitch before the derived driver runs.
+// Guest→guest unicast is copied into a pooled dom0 sk_buff and queued
+// straight onto the destination guest's receive queue — the same queue
+// the device demux fills, so both the copy-mode and posted-buffer
+// delivery paths work unchanged — and the device is never touched: the
+// whole NIC round-trip (driver TX, wire, IRQ, driver RX) is replaced by
+// one classify + one copy.
 
 // schedParam resolves a per-guest scheduler parameter from its config
 // slice: values apply to guests in index order and repeat cyclically
 // when the slice is shorter than the guest count (so Weights: []int{4,
 // 2, 1} gives a 4:2:1 pattern across any fleet size). def is the
-// all-guests default for a nil slice; weights additionally clamp to a
-// minimum of 1 (a zero or negative weight would starve the guest,
-// which the rate limit — not the weight — is the tool for).
+// all-guests default for a nil slice.
 func schedParam(vals []int, gi, def int) int {
-	v := def
-	if len(vals) > 0 {
-		v = vals[gi%len(vals)]
+	if len(vals) == 0 {
+		return def
 	}
-	if def == 1 && v < 1 {
-		v = 1
-	}
-	if v < 0 {
-		v = 0
-	}
-	return v
+	return vals[gi%len(vals)]
 }
 
-// SchedEnabled reports whether the DRR weighted-fair sweep is active.
-func (t *Twin) SchedEnabled() bool { return t.drr }
-
-// GuestWeight reports a guest's DRR weight (1 when the scheduler is
-// off or the domain has no transmit state: every guest weighs equal).
+// GuestWeight reports a guest's DRR weight (1 for a domain with no
+// transmit state).
 func (t *Twin) GuestWeight(dom mem.Owner) int {
-	if g, ok := t.guestIO[dom]; ok && t.drr {
+	if g, ok := t.guestIO[dom]; ok {
 		return g.weight
 	}
 	return 1
-}
-
-// GuestRate reports a guest's per-crossing descriptor cap (0 =
-// unlimited).
-func (t *Twin) GuestRate(dom mem.Owner) int {
-	if g, ok := t.guestIO[dom]; ok && t.drr {
-		return g.rate
-	}
-	return 0
 }
 
 // qSched is one queue's persistent scheduler position (alongside the
@@ -108,19 +80,20 @@ type qSched struct {
 	carry bool
 }
 
-// sweepQueueDRR is the deficit-round-robin replacement for the classic
-// sweepQueue loop, over the same per-queue guest shard with the same
-// containment behavior (a corrupt ring or transmit fault aborts this
-// queue's sweep; other queues are isolated by the caller). budget
-// bounds total descriptors consumed this crossing (0 = drain).
+// sweepQueue is one service queue's deficit-round-robin sweep over its
+// guest shard. A corrupt ring or transmit fault aborts this queue's
+// sweep; other queues are isolated by the caller. budget bounds total
+// descriptors consumed this crossing (0 = drain); the return counts
+// them.
 //
 // The cycle visits guests in shard order starting at the persisted
 // position. Each fresh visit grants the guest its weight in deficit,
 // then spends the deficit one descriptor at a time — staged ring
-// first, then posted-TX, exactly the classic pair. An empty backlog
-// zeroes the deficit (work conservation: idle guests donate rather
-// than hoard); a full cycle with no progress ends the sweep.
-func (t *Twin) sweepQueueDRR(d *NICDev, q, budget int, sent map[mem.Owner]int) (int, error) {
+// first, then posted-TX (txStep), so a guest backlogged on both rings
+// gets no more than its weight per round. An empty backlog zeroes the
+// deficit (work conservation: idle guests donate rather than hoard); a
+// full cycle with no progress ends the sweep.
+func (t *Twin) sweepQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) (int, error) {
 	shard := t.queueGuests[q]
 	st := &t.qSched[q]
 	// Rate accounting is per crossing: every guest starts fresh.
@@ -151,11 +124,19 @@ func (t *Twin) sweepQueueDRR(d *NICDev, q, budget int, sent map[mem.Owner]int) (
 				st.carry = true
 				return consumed, nil
 			}
-			did, err := t.drrStep(d, g, sent)
-			if err != nil {
-				return consumed + 1, err
+			popped, ok, err := t.txStep(d, g, true)
+			if ok {
+				sent[g.dom.ID]++
 			}
-			if !did {
+			if err != nil {
+				// A corrupt ring header consumed nothing; a transmit
+				// fault consumed the descriptor it faulted on.
+				if popped {
+					consumed++
+				}
+				return consumed, err
+			}
+			if !popped {
 				// Work conservation: an idle guest donates its unspent
 				// quantum instead of hoarding credit for a later burst.
 				g.deficit = 0
@@ -179,28 +160,54 @@ func (t *Twin) sweepQueueDRR(d *NICDev, q, budget int, sent map[mem.Owner]int) (
 	return consumed, nil
 }
 
-// drrStep consumes at most one descriptor for a guest: a staged-ring
-// frame if one is pending, otherwise a posted-TX descriptor. Error
-// handling matches the classic sweep exactly — a corrupt ring header
-// resets the ring and fails the sweep; a transmit fault resets the
-// staged ring and propagates.
-func (t *Twin) drrStep(d *NICDev, g *guestIO, sent map[mem.Owner]int) (bool, error) {
-	addr, n, ok, err := g.ring.Pop()
+// txStep is the one place a transmit descriptor is popped and handed to
+// xmit: at most one per call, from g's staged ring if one is pending,
+// otherwise — when posted is set — from its posted-TX ring. popped
+// reports whether a descriptor was consumed, ok whether its frame was
+// transmitted.
+//
+// The rings are guest-writable, and the two containment policies differ.
+// A corrupt header on either ring (ErrRingCorrupt: the guest scribbled
+// the head/tail words) resets that ring — none of its descriptors can be
+// trusted — and fails the sweep with nothing consumed. A staged transmit
+// fault resets the staged ring and fails the sweep; a posted one loses
+// only that frame (counted in PostedTxLost) unless it killed the instance.
+func (t *Twin) txStep(d *NICDev, g *guestIO, posted bool) (popped, ok bool, err error) {
+	addr, n, pending, err := g.ring.Pop()
 	if err != nil {
 		_ = g.ring.Reset()
-		return false, fmt.Errorf("core: guest %d transmit ring: %w", g.dom.ID, err)
+		return false, false, fmt.Errorf("core: guest %d transmit ring: %w", g.dom.ID, err)
 	}
-	if ok {
-		if err := t.xmitOne(d, g, addr, int(n)); err != nil {
+	if pending {
+		if err := t.xmit(d, g, addr, int(n), false); err != nil {
 			if rerr := g.ring.Reset(); rerr != nil && !t.Dead {
-				return true, rerr
+				return true, false, rerr
 			}
-			return true, err
+			return true, false, err
 		}
-		sent[g.dom.ID]++
-		return true, nil
+		return true, true, nil
 	}
-	return t.servicePostedTx(d, g, sent)
+	if !posted {
+		return false, false, nil
+	}
+	addr, n, pending, err = g.txRing.Pop()
+	if err != nil {
+		_ = g.txRing.Reset()
+		t.ctlLane.Record(t.mMeter, telemetry.EvHostile, int32(g.dom.ID), 1, 0)
+		return false, false, fmt.Errorf("core: guest %d posted-tx ring: %w", g.dom.ID, err)
+	}
+	if !pending {
+		return false, false, nil
+	}
+	if err := t.xmit(d, g, addr, int(n), true); err != nil {
+		if t.Dead {
+			return true, false, err
+		}
+		// Hostile, oversize or resource-starved: contained to this frame.
+		g.postedLost++
+		return true, false, nil
+	}
+	return true, true, nil
 }
 
 // --- Inter-guest L2 switch glue -------------------------------------
@@ -279,27 +286,12 @@ func (t *Twin) vswitchDeliver(src *guestIO, dst mem.Owner, guestAddr uint32, n i
 		dstIO.vswRxDropped++
 		return nil
 	}
-	hv := t.M.HV
-	meter := hv.Meter
 	as := t.M.Dom0.AS
-	meter.AddTo(cycles.CompXen, cost.VswitchForwardPerFrame+cost.SkbAlloc)
+	t.M.HV.Meter.AddTo(cycles.CompXen, cost.VswitchForwardPerFrame+cost.SkbAlloc)
 	head, _ := as.Load(skb+kernel.SkbHead, 4)
-	spans, err := pageSpans(head, n, func(a uint32) (uint32, error) {
-		return t.SV.Translate(meter, a)
-	})
-	if err != nil {
+	if err := t.copyFromGuest(head, src, guestAddr, n); err != nil {
 		t.poolPut(skb)
 		return err
-	}
-	off := 0
-	for _, sp := range spans {
-		meter.AddTo(cycles.CompXen, uint64(sp.bytes)*cost.HvCopyPerByte)
-		meter.TouchLines(sp.pa, sp.bytes)
-		if err := mem.Copy(hv.HVSpace, sp.pa, src.dom.AS, guestAddr+uint32(off), sp.bytes); err != nil {
-			t.poolPut(skb)
-			return err
-		}
-		off += sp.bytes
 	}
 	// eth_type_trans convention: delivery reads (data-14, len+14).
 	as.Store(skb+kernel.SkbData, 4, head+14)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -204,48 +205,143 @@ func TestSchedRateLimit(t *testing.T) {
 	}
 }
 
-// TestSchedEqualWeightsMatchClassic: explicit equal weights produce
-// exactly the classic round-robin's per-guest counts and wire order on
-// a full drain — DRR with unit quantum degenerates to round-robin.
-func TestSchedEqualWeightsMatchClassic(t *testing.T) {
-	run := func(cfg core.TwinConfig) (map[mem.Owner]int, [][]byte) {
-		m, tw, err := core.NewTwinMachine(1, 4, cfg)
-		if err != nil {
-			t.Fatal(err)
+// refRoundRobin is the oracle for the unit-weight sweep: plain
+// round-robin over per-guest frame queues (each guest's staged frames
+// ahead of its posted ones), one frame per visit, the position kept
+// across crossings so a budget cut resumes where it stopped.
+type refRoundRobin struct {
+	queues [][][]byte
+	pos    int
+}
+
+func (r *refRoundRobin) cross(budget int) (order [][]byte, counts []int) {
+	counts = make([]int, len(r.queues))
+	for idle := 0; idle < len(r.queues) && (budget == 0 || len(order) < budget); r.pos = (r.pos + 1) % len(r.queues) {
+		q := &r.queues[r.pos]
+		if len(*q) == 0 {
+			idle++
+			continue
 		}
-		d := m.Devs[0]
+		order, *q = append(order, (*q)[0]), (*q)[1:]
+		counts[r.pos]++
+		idle = 0
+	}
+	return order, counts
+}
+
+// TestSchedUnitWeightsAreRoundRobin: with nil Weights and Rates (every
+// guest weighs 1, no caps) the DRR sweep is exactly round-robin — the
+// per-guest counts and the wire order of every crossing match the
+// reference above, over staged-only, posted-only and mixed backlogs,
+// drained in one crossing and under budgets that cut mid-cycle.
+func TestSchedUnitWeightsAreRoundRobin(t *testing.T) {
+	// backlog[g] = {staged, posted} frames of guest g.
+	backlogs := map[string][][2]int{
+		"staged": {{5, 0}, {6, 0}, {7, 0}, {8, 0}},
+		"posted": {{0, 3}, {0, 4}, {0, 5}, {0, 6}},
+		"mixed":  {{4, 4}, {6, 0}, {0, 5}, {2, 3}},
+	}
+	// setup stages and posts a backlog and returns the reference primed
+	// with the same frames plus the wire capture.
+	setup := func(t *testing.T, backlog [][2]int) (*core.Machine, *core.Twin, *core.NICDev, *refRoundRobin, *[][]byte) {
+		t.Helper()
+		m, tw, d := schedTwin(t, len(backlog), core.TwinConfig{})
 		var wire [][]byte
 		d.NIC.OnTransmit = func(pkt []byte) { wire = append(wire, append([]byte(nil), pkt...)) }
+		ref := &refRoundRobin{queues: make([][][]byte, len(backlog))}
 		for gi, dom := range m.Guests {
-			frames := make([][]byte, 5+gi)
-			for i := range frames {
-				frames[i] = schedFrame(gi, i)
+			staged := make([][]byte, backlog[gi][0])
+			for i := range staged {
+				staged[i] = schedFrame(gi, i)
 			}
-			if _, err := tw.StageTransmitBatch(dom, frames); err != nil {
-				t.Fatal(err)
+			if n, err := tw.StageTransmitBatch(dom, staged); err != nil || n != len(staged) {
+				t.Fatalf("guest %d staged %d of %d: %v", gi, n, len(staged), err)
 			}
+			var descs []core.TxPost
+			for i := 0; i < backlog[gi][1]; i++ {
+				f := schedFrame(gi, 100+i)
+				buf := m.HV.AllocHeap(dom, core.TxSlotBytes)
+				if err := dom.AS.WriteBytes(buf, f); err != nil {
+					t.Fatal(err)
+				}
+				descs = append(descs, core.TxPost{Addr: buf, Len: uint32(len(f))})
+				staged = append(staged, f)
+			}
+			if n, err := tw.PostTxDescriptors(dom, descs); err != nil || n != len(descs) {
+				t.Fatalf("guest %d posted %d of %d: %v", gi, n, len(descs), err)
+			}
+			ref.queues[gi] = staged
 		}
-		sent, err := tw.ServiceRings(d, 0)
+		return m, tw, d, ref, &wire
+	}
+	// crossing runs one ServiceRings crossing and checks it against the
+	// reference's; it returns the frames the crossing put on the wire.
+	crossing := func(t *testing.T, m *core.Machine, tw *core.Twin, d *core.NICDev, ref *refRoundRobin, wire *[][]byte, budget int) [][]byte {
+		t.Helper()
+		before := len(*wire)
+		sent, err := tw.ServiceRings(d, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sent, wire
+		want, counts := ref.cross(budget)
+		got := (*wire)[before:]
+		if len(got) != len(want) {
+			t.Fatalf("budget %d: wire saw %d frames, round-robin sends %d", budget, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("budget %d: wire frame %d differs from round-robin order", budget, i)
+			}
+		}
+		for gi, dom := range m.Guests {
+			if sent[dom.ID] != counts[gi] {
+				t.Fatalf("budget %d: guest %d sent %d, round-robin sends %d", budget, gi, sent[dom.ID], counts[gi])
+			}
+		}
+		return got
 	}
-	classicSent, classicWire := run(core.TwinConfig{})
-	drrSent, drrWire := run(core.TwinConfig{Weights: []int{1, 1, 1, 1}})
-	for dom, n := range classicSent {
-		if drrSent[dom] != n {
-			t.Fatalf("guest %d: classic sent %d, unit-weight DRR sent %d", dom, n, drrSent[dom])
+	for name, backlog := range backlogs {
+		// Budget 0 drains in one crossing; 3 and 5 cut mid-cycle at a
+		// different guest every crossing (4 guests).
+		for _, budget := range []int{0, 3, 5} {
+			t.Run(fmt.Sprintf("%s/budget=%d", name, budget), func(t *testing.T) {
+				m, tw, d, ref, wire := setup(t, backlog)
+				total := 0
+				for _, b := range backlog {
+					total += b[0] + b[1]
+				}
+				for len(*wire) < total {
+					if len(crossing(t, m, tw, d, ref, wire, budget)) == 0 {
+						t.Fatalf("crossing made no progress at %d of %d frames", len(*wire), total)
+					}
+				}
+			})
 		}
 	}
-	if len(classicWire) != len(drrWire) {
-		t.Fatalf("wire counts differ: classic %d, DRR %d", len(classicWire), len(drrWire))
-	}
-	for i := range classicWire {
-		if !bytes.Equal(classicWire[i], drrWire[i]) {
-			t.Fatalf("wire frame %d differs between classic and unit-weight DRR", i)
+
+	// The two deliberate departures from the loop this sweep replaced,
+	// which took a staged+posted pair per guest per pass and restarted
+	// every crossing at the shard's first guest.
+	t.Run("both-rings-share-one-quantum-staged-first", func(t *testing.T) {
+		m, tw, d, ref, wire := setup(t, backlogs["mixed"])
+		got := crossing(t, m, tw, d, ref, wire, len(m.Guests)) // exactly one round
+		for gi := range m.Guests {
+			if src := got[gi][10]; int(src) != gi {
+				t.Fatalf("round slot %d went to guest %d: using both rings doubled a share", gi, src)
+			}
 		}
-	}
+		if !bytes.Equal(got[0], schedFrame(0, 0)) {
+			t.Fatal("guest 0 is backlogged on both rings and its posted frame went first")
+		}
+	})
+	t.Run("budget-cut-resumes-at-interrupted-guest", func(t *testing.T) {
+		m, tw, d, ref, wire := setup(t, backlogs["staged"])
+		crossing(t, m, tw, d, ref, wire, 2) // guests 0 and 1, cut before guest 2
+		got := crossing(t, m, tw, d, ref, wire, 2)
+		if got[0][10] != 2 || got[1][10] != 3 {
+			t.Fatalf("second crossing served guests %d,%d: want 2,3 (no restart at the shard's first guest)", got[0][10], got[1][10])
+		}
+	})
 }
 
 // TestServiceAllQueuesDRR: the weighted-fair sweep under the parallel

@@ -70,8 +70,7 @@ type TwinConfig struct {
 	// Queues is the number of transmit service queues guests are sharded
 	// across. 0 means the model's own queue count; any value is clamped
 	// to [1, Model.Queues]. Single-queue backends always run the
-	// degenerate one-queue configuration, whose hot path is
-	// operation-for-operation the classic single-loop service.
+	// degenerate one-queue configuration: one sweep, the machine meter.
 	Queues int
 
 	// Trace attaches a telemetry event tracer. Nil (the default) means
@@ -81,18 +80,16 @@ type TwinConfig struct {
 	// cycle meters, so enabling it cannot move a cyc/pkt number.
 	Trace *telemetry.Tracer
 
-	// Weights enables the deficit-round-robin weighted-fair scheduler:
-	// per-guest service weights applied to guests in index order
+	// Weights sets the per-guest service weights of the deficit-round-
+	// robin sweep (sched.go), applied to guests in index order
 	// (cyclically when shorter than the guest count; values < 1 clamp
-	// to 1). Nil or empty — the default — keeps the classic equal
-	// round-robin sweep, whose hot path is untouched and therefore
-	// cycle-identical to every pinned baseline (see sched.go).
+	// to 1). Nil or empty — the default — weighs every guest 1, which
+	// is plain round-robin.
 	Weights []int
 
-	// Rates caps the descriptors each guest may consume per service
-	// crossing (a per-guest rate limit enforced by the DRR sweep), in
-	// index order like Weights; 0 means unlimited. Any non-empty Rates
-	// activates the DRR sweep even with nil Weights.
+	// Rates sets the per-guest cap on descriptors consumed per service
+	// crossing, in index order like Weights; 0 — and nil, the default —
+	// means unlimited.
 	Rates []int
 
 	// Switch enables the inter-guest L2 switch (internal/vswitch):
@@ -241,12 +238,9 @@ type Twin struct {
 	macToDom      map[[6]byte]mem.Owner
 	pendingIRQ    []*NICDev // deferred while dom0 masks virtual interrupts
 
-	// drr selects the weighted-fair sweep (sched.go); false — the
-	// default — keeps the classic equal round-robin loop untouched.
 	// vsw is the inter-guest L2 switch, nil when disabled: the transmit
-	// paths only consult it behind a nil check, so the switched-off
+	// path only consults it behind a nil check, so the switched-off
 	// configuration carries no classification work at all.
-	drr bool
 	vsw *vswitch.Switch
 
 	// guestIO holds each guest's transmit-side I/O state, keyed by the
@@ -307,7 +301,7 @@ type guestIO struct {
 	txRing     *mem.Ring // guest-posted transmit scatter/gather descriptors
 	postedLost uint64    // posted-TX frames lost to containment, lifetime
 
-	// DRR scheduler state (sched.go); untouched on the classic path.
+	// DRR scheduler state (sched.go).
 	weight  int // descriptors of quantum added per deficit round
 	rate    int // max descriptors per service crossing; 0 = unlimited
 	deficit int // accumulated unspent quantum
@@ -390,7 +384,6 @@ func loadTwin(m *Machine, cfg TwinConfig) (*Twin, error) {
 		pinsBySkb:   make(map[uint32][]uint32),
 		rxQueues:    make(map[mem.Owner]*rxQueue),
 		macToDom:    make(map[[6]byte]mem.Owner),
-		drr:         len(cfg.Weights) > 0 || len(cfg.Rates) > 0,
 	}
 	if cfg.Switch {
 		t.vsw = vswitch.New()
@@ -526,9 +519,11 @@ func loadTwin(m *Machine, cfg TwinConfig) (*Twin, error) {
 		io := &guestIO{dom: g, queue: (base + gi) % t.nQueues}
 		// Scheduler parameters are a pure function of (config, guest
 		// index) — like the queue shard, derived identically by a
-		// recovered instance, nothing to log or replay.
-		io.weight = schedParam(cfg.Weights, gi, 1)
-		io.rate = schedParam(cfg.Rates, gi, 0)
+		// recovered instance, nothing to log or replay. A weight below 1
+		// would starve the guest (the rate limit, not the weight, is the
+		// tool for that); a negative rate means no cap.
+		io.weight = max(schedParam(cfg.Weights, gi, 1), 1)
+		io.rate = max(schedParam(cfg.Rates, gi, 0), 0)
 		if t.vsw != nil {
 			t.vsw.AddPort(g.ID)
 		}
@@ -851,104 +846,33 @@ func (t *Twin) GuestTransmitAt(d *NICDev, guestAddr uint32, n int) error {
 	}
 	t.M.HV.ChargeHypercall()
 	t.ctlLane.Record(t.mMeter, telemetry.EvHypercall, int32(t.M.HV.Current.ID), 1, 0)
-	return t.xmitOne(d, t.ioCurrent(), guestAddr, n)
+	return t.xmit(d, t.ioCurrent(), guestAddr, n, false)
 }
 
-// xmitOne is the hypervisor-side transmit work for one staged frame: header
-// copy from the staging guest's address space into a pooled dom0 sk_buff,
-// guest pages chained for the body, one derived-driver invocation.
-// The boundary crossing itself (the hypercall charge) is the caller's — per
-// frame on the hypercall path, per batch on the ring path. Every non-fatal
-// exit returns the pooled skb; on a containment abort the teardown's
-// outstanding-buffer sweep reclaims it instead.
-func (t *Twin) xmitOne(d *NICDev, g *guestIO, guestAddr uint32, n int) error {
-	gas := g.dom.AS
-	// The length is guest input (hypercall argument or a guest-writable
-	// ring descriptor word): bound it before any copy. The pooled skb's
-	// linear buffer is kernel.SkbBufSize; on a no-scatter/gather backend
-	// (TxHeaderSplit 0) the whole frame lands there, and on every backend
-	// the driver's own staging assumes at most one buffer's worth.
-	if n <= 0 || n > kernel.SkbBufSize {
-		return ErrFrameOversize
-	}
-	// Inter-guest switch (sched.go): with the switch on, the frame's
-	// Ethernet header decides its path — guest→guest unicast is
-	// delivered dom0-side and never reaches the device; a forged source
-	// MAC drops the frame. Off (vsw nil, the default), the transmit
-	// path is exactly what it always was.
-	if t.vsw != nil {
-		toDevice, err := t.vswitchTx(g, guestAddr, n)
-		if err != nil {
-			return err
-		}
-		if !toDevice {
-			return nil
-		}
-	}
+// copyFromGuest copies n bytes at virtual address src of guest g into the
+// dom0 buffer at virtual address dst (a pooled skb's linear buffer,
+// persistently mapped into the hypervisor). The destination is translated
+// per page (pageSpans): a buffer straddling a page boundary must not
+// inherit the first page's translation for bytes on the second page — the
+// SVM window pairing that usually saves a straddle is not guaranteed when
+// the second page was unmapped at the first page's first touch.
+func (t *Twin) copyFromGuest(dst uint32, g *guestIO, src uint32, n int) error {
 	hv := t.M.HV
-	skb, ok := t.poolGet()
-	if !ok {
-		return ErrTxBusy
-	}
 	meter := hv.Meter
-	as := t.M.Dom0.AS
-
-	// The scatter/gather split is the model's: the e1000 takes a 96-byte
-	// header copy with the body chained zero-copy through its second
-	// transmit descriptor; the rtl8139 has no scatter/gather, so the whole
-	// frame goes linear into the pooled skb (split 0).
-	hdr := n
-	if split := t.M.Model.TxHeaderSplit; split > 0 && hdr > split {
-		hdr = split
-	}
-	// Header copy into the pooled skb (persistently mapped into the
-	// hypervisor), guest pages chained for the body. The destination is
-	// translated per page (pageSpans): a buffer straddling a page
-	// boundary must not inherit the first page's translation for bytes on
-	// the second page — the SVM window pairing that usually saves a
-	// straddle is not guaranteed when the second page was unmapped at the
-	// first page's first touch.
-	head, _ := as.Load(skb+kernel.SkbHead, 4)
-	spans, err := pageSpans(head, hdr, func(a uint32) (uint32, error) {
+	spans, err := pageSpans(dst, n, func(a uint32) (uint32, error) {
 		return t.SV.Translate(meter, a)
 	})
 	if err != nil {
-		t.poolPut(skb)
 		return err
 	}
 	off := 0
 	for _, sp := range spans {
 		meter.AddTo(cycles.CompXen, uint64(sp.bytes)*cost.HvCopyPerByte)
 		meter.TouchLines(sp.pa, sp.bytes)
-		if err := mem.Copy(hv.HVSpace, sp.pa, gas, guestAddr+uint32(off), sp.bytes); err != nil {
-			t.poolPut(skb)
+		if err := mem.Copy(hv.HVSpace, sp.pa, g.dom.AS, src+uint32(off), sp.bytes); err != nil {
 			return err
 		}
 		off += sp.bytes
-	}
-	as.Store(skb+kernel.SkbLen, 4, uint32(n))
-	// The queue mapping rides in the sk_buff like skb_set_queue_mapping:
-	// a multi-queue driver's xmit reads it to pick its register block;
-	// single-queue drivers ignore the word. The store is framework-side
-	// bookkeeping (no modeled cycles), so it cannot perturb the
-	// single-queue backends' pinned cycle counts.
-	as.Store(skb+kernel.SkbQueue, 4, uint32(g.queue))
-	if n > hdr {
-		as.Store(skb+kernel.SkbNrFrags, 4, 1)
-		as.Store(skb+kernel.SkbFragPage, 4, guestAddr)
-		as.Store(skb+kernel.SkbFragOff, 4, uint32(hdr))
-		as.Store(skb+kernel.SkbFragSize, 4, uint32(n-hdr))
-	} else {
-		as.Store(skb+kernel.SkbNrFrags, 4, 0)
-	}
-
-	ret, err := t.invokeHV(t.xmitEntry, skb, d.Netdev)
-	if err != nil {
-		return err
-	}
-	if ret != 0 {
-		t.poolPut(skb)
-		return ErrTxBusy
 	}
 	return nil
 }
@@ -1080,12 +1004,6 @@ func (t *Twin) poolFreeOrKernel(skb uint32) {
 		return
 	}
 	t.M.K.FreeSkb(skb)
-}
-
-// VMInstanceEntry exposes the VM instance entry for a named function
-// (management operations keep running in dom0, §3.1).
-func (t *Twin) VMInstanceEntry(fn string) (uint32, bool) {
-	return t.M.VMImage.FuncEntry(fn)
 }
 
 // UpcallsPerformed returns the total upcall count.

@@ -14,15 +14,15 @@ import (
 // guest stages up to TxRingSlots frames in its shared descriptor ring and
 // crosses the boundary once per batch, so the hypercall's transition cost
 // amortizes over the batch. Everything after the boundary — header copy,
-// fragment chaining, the derived-driver invocation — is byte-for-byte the
-// per-packet path (xmitOne), which is what keeps a batch of one
+// fragment chaining, the derived-driver invocation — is the per-packet
+// path's own body (xmit), which is what keeps a batch of one
 // cycle-identical to GuestTransmit.
 //
 // With several guests sharing the NIC, each guest owns a private ring (its
 // guestIO): guests stage independently with StageTransmitBatch, and a
-// single ServiceRings crossing drains every ring round-robin, so the
-// boundary cost amortizes across guests as well as across frames, and a
-// guest with a deep backlog cannot starve the others.
+// single ServiceRings crossing drains every ring by deficit round-robin
+// (sched.go), so the boundary cost amortizes across guests as well as
+// across frames, and a guest with a deep backlog cannot starve the others.
 
 // Transmit-ring geometry.
 const (
@@ -66,55 +66,29 @@ func (t *Twin) GuestTransmitBatch(d *NICDev, frames [][]byte) (int, error) {
 		// Guest side: stage each frame and publish its descriptor. The
 		// staging copy stands in for the guest's own packet pages, as in
 		// GuestTransmit; its cycle price is part of the caller's kernel
-		// path. Capacity is checked BEFORE the slot write: on a full ring
-		// the producer slot still backs an unconsumed descriptor (e.g.
-		// left staged by a budgeted ServiceRings), and writing first would
-		// silently corrupt that frame.
-		for _, f := range chunk {
-			free, err := g.ring.Free()
-			if err != nil {
-				_ = g.ring.Reset() // best-effort: the staging error is the one to report
-				return sent, err
-			}
-			if free == 0 {
-				break // drain below, stage the rest next round
-			}
-			slot, err := g.ring.ProducerSlot()
-			if err != nil {
-				_ = g.ring.Reset()
-				return sent, err
-			}
-			if err := g.dom.AS.WriteBytes(g.slots[slot], f); err != nil {
-				_ = g.ring.Reset()
-				return sent, err
-			}
-			if err := g.ring.Push(g.slots[slot], uint32(len(f))); err != nil {
-				_ = g.ring.Reset()
-				return sent, err
-			}
+		// path. A full ring (e.g. descriptors left staged by a budgeted
+		// ServiceRings) stages short: drain below, stage the rest next
+		// round.
+		if _, err := g.stage(chunk); err != nil {
+			_ = g.ring.Reset() // best-effort: the staging error is the one to report
+			return sent, err
 		}
 		// One boundary crossing for the whole chunk.
 		t.M.HV.ChargeHypercall()
 		t.ctlLane.Record(t.mMeter, telemetry.EvHypercall, int32(g.dom.ID), uint64(len(chunk)), 0)
-		// Hypervisor side: drain the ring without further transitions.
+		// Hypervisor side: drain the guest's staged ring without further
+		// transitions.
 		for {
-			addr, n, ok, err := g.ring.Pop()
+			popped, ok, err := t.txStep(d, g, false)
+			if ok {
+				sent++
+			}
 			if err != nil {
-				// A corrupt (guest-scribbled) header: discard the staged
-				// descriptors rather than trusting any of them.
-				_ = g.ring.Reset()
 				return sent, err
 			}
-			if !ok {
+			if !popped {
 				break
 			}
-			if err := t.xmitOne(d, g, addr, int(n)); err != nil {
-				if rerr := g.ring.Reset(); rerr != nil && !t.Dead {
-					return sent, rerr
-				}
-				return sent, err
-			}
-			sent++
 		}
 	}
 	t.ctlLane.Record(t.mMeter, telemetry.EvBatchServiced, int32(g.dom.ID), uint64(sent), 0)
@@ -135,14 +109,20 @@ func (t *Twin) StageTransmitBatch(dom *xen.Domain, frames [][]byte) (int, error)
 	if !ok {
 		return 0, fmt.Errorf("core: domain %q has no transmit ring", dom.Name)
 	}
-	staged := 0
-	for _, f := range frames {
+	return g.stage(frames)
+}
+
+// stage is the guest-side producer: each frame is copied into the producer
+// slot's staging buffer and its descriptor published on the guest's ring.
+// It returns the number of frames staged, stopping early without error
+// when the ring fills. Capacity is checked BEFORE the slot write: on a full
+// ring the producer slot aliases the oldest unconsumed descriptor's staging
+// buffer, and writing first would silently corrupt that staged frame.
+func (g *guestIO) stage(frames [][]byte) (int, error) {
+	for staged, f := range frames {
 		if len(f) > TxSlotBytes {
 			return staged, fmt.Errorf("core: frame of %d bytes exceeds the %d-byte staging slot", len(f), TxSlotBytes)
 		}
-		// Capacity is checked BEFORE the slot write: on a full ring the
-		// producer slot aliases the oldest unconsumed descriptor's staging
-		// buffer, and writing first would corrupt that staged frame.
 		free, err := g.ring.Free()
 		if err != nil {
 			return staged, err
@@ -160,25 +140,23 @@ func (t *Twin) StageTransmitBatch(dom *xen.Domain, frames [][]byte) (int, error)
 		if err := g.ring.Push(g.slots[slot], uint32(len(f))); err != nil {
 			return staged, err
 		}
-		staged++
 	}
-	return staged, nil
+	return len(frames), nil
 }
 
-// ServiceRings drains every guest's transmit ring under a single boundary
-// crossing: one hypercall, then each service queue's round-robin sweep
-// over the guests sharded onto it, consuming one descriptor per guest per
-// pass, so a guest with a full ring cannot starve the others. budget
-// bounds the descriptors consumed per queue in this crossing (0 means
-// drain everything); descriptors beyond the budget stay staged for the
-// next crossing. It returns per-guest transmit counts.
+// ServiceRings drains every guest's transmit rings under a single boundary
+// crossing: one hypercall, then each service queue's deficit-round-robin
+// sweep (sched.go) over the guests sharded onto it, so a guest with a full
+// ring cannot starve the others. budget bounds the descriptors consumed
+// per queue in this crossing (0 means drain everything); descriptors
+// beyond the budget stay staged for the next crossing, which resumes at
+// the interrupted guest. It returns per-guest transmit counts.
 //
-// On a single-queue backend, queue 0's guest list IS the classic
-// guestOrder, so this is operation-for-operation the original one-loop
-// service — the degenerate configuration's hot path stays cycle-identical.
-// With more queues, each queue's work is charged to that queue's own
-// meter (its simulated core); queues are swept in index order here, and
-// ServiceAllQueues runs the same sweeps as concurrent goroutines.
+// On a single-queue backend queue 0's guest list is guestOrder and its
+// meter is the machine meter. With more queues, each queue's work is
+// charged to that queue's own meter (its simulated core); queues are
+// swept in index order here, and ServiceAllQueues runs the same sweeps as
+// concurrent goroutines.
 //
 // A corrupt ring header (ErrRingCorrupt — the guest scribbled its
 // guest-writable head/tail words) or a transmit fault discards the
@@ -254,14 +232,12 @@ func (t *Twin) ServiceAllQueues(d *NICDev, budget int) (map[mem.Owner]int, error
 	return sent, firstErr
 }
 
-// serviceQueue drains one service queue's guests round-robin; the body
-// (sweepQueue) is the classic ServiceRings loop restricted to the
-// queue's shard. The sweep is bracketed by start/end events on the
-// queue's own telemetry lane, stamped with the meter in scope — queue
-// q's own simulated core when several queues run — so a traced mq run
-// renders each queue as its own timeline. The queue goroutine is the
-// lane's only writer (serialized under execMu), which is what the
-// -race traced-service test pins.
+// serviceQueue runs one service queue's sweep (sweepQueue, sched.go)
+// bracketed by start/end events on the queue's own telemetry lane,
+// stamped with the meter in scope — queue q's own simulated core when
+// several queues run — so a traced mq run renders each queue as its own
+// timeline. The queue goroutine is the lane's only writer (serialized
+// under execMu), which is what the -race traced-service test pins.
 func (t *Twin) serviceQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) error {
 	lane := t.qLanes[q]
 	meter := t.M.HV.Meter
@@ -271,64 +247,10 @@ func (t *Twin) serviceQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) er
 	return err
 }
 
-func (t *Twin) sweepQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) (int, error) {
-	// The weighted-fair scheduler is opt-in (TwinConfig.Weights/Rates);
-	// the default configuration runs the classic equal round-robin loop
-	// below, operation-for-operation as it always did.
-	if t.drr {
-		return t.sweepQueueDRR(d, q, budget, sent)
-	}
-	consumed := 0
-	for {
-		progress := false
-		for _, id := range t.queueGuests[q] {
-			if budget > 0 && consumed >= budget {
-				return consumed, nil
-			}
-			g := t.guestIO[id]
-			addr, n, ok, err := g.ring.Pop()
-			if err != nil {
-				_ = g.ring.Reset()
-				return consumed, fmt.Errorf("core: guest %d transmit ring: %w", id, err)
-			}
-			if ok {
-				progress = true
-				consumed++
-				if err := t.xmitOne(d, g, addr, int(n)); err != nil {
-					if rerr := g.ring.Reset(); rerr != nil && !t.Dead {
-						return consumed, rerr
-					}
-					return consumed, err
-				}
-				sent[id]++
-			}
-			// The posted-transmit ring drains under the same round-robin
-			// step: one descriptor per guest per pass, resolved through the
-			// guest TLB (txpath.go). A guest that never posts pays nothing —
-			// the empty-ring check moves no simulated cycles.
-			if budget > 0 && consumed >= budget {
-				return consumed, nil
-			}
-			did, perr := t.servicePostedTx(d, g, sent)
-			if did {
-				progress = true
-				consumed++
-			}
-			if perr != nil {
-				return consumed, perr
-			}
-		}
-		if !progress {
-			return consumed, nil
-		}
-	}
-}
-
 // withQueueMeter runs fn with the machine's cycle meter swapped to queue
 // q's meter — both aliases, xen.Hypervisor.Meter and the CPU's, point at
 // the same object and must move together. The degenerate single-queue
-// configuration never swaps (queue 0's meter IS the machine meter), so
-// the classic path is untouched.
+// configuration never swaps (queue 0's meter IS the machine meter).
 func (t *Twin) withQueueMeter(q int, fn func() error) error {
 	if t.nQueues == 1 {
 		return fn()

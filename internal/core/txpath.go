@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"twindrivers/internal/cost"
-	"twindrivers/internal/cycles"
 	"twindrivers/internal/kernel"
 	"twindrivers/internal/mem"
 	"twindrivers/internal/telemetry"
@@ -37,9 +35,6 @@ import (
 //     device's DMA resolves exactly what the TLB checked. Pins are
 //     released when the frame's sk_buff returns to the pool, and an abort
 //     sweeps (and accounts) every pin the dead instance held.
-//
-// The staging path stays the bit-identical default: a twin that never
-// posts a transmit descriptor charges exactly the cycles it always did.
 
 // ErrNoTxPostRing reports a posted-transmit operation for a domain without
 // a posted-transmit ring (not a guest of this twin).
@@ -179,42 +174,70 @@ func (t *Twin) pinnedTranslate(addr uint32) (uint32, bool) {
 	return pin.pa | (addr & mem.PageMask), true
 }
 
-// xmitPosted is the hypervisor-side transmit work for one posted
-// descriptor, operating entirely on the (addr, n) snapshot Pop returned.
-// Validation order is length bound, then per-page ownership through the
-// guest TLB — before a pooled buffer is taken or a byte moves. A
-// machine-contiguous frame on a scatter/gather backend goes to the device
-// zero-copy (the guest pages chained as the fragment, their translations
-// pinned); a frame whose pages are not machine-contiguous, or any frame on
-// a no-scatter/gather backend, falls back to a full copy into the pooled
-// linear buffer — correctness everywhere, zero-copy where the hardware
-// allows it. Every error return is contained to this frame.
-func (t *Twin) xmitPosted(d *NICDev, g *guestIO, addr uint32, n int) error {
+// xmit is the hypervisor-side transmit work for one descriptor — the one
+// body behind the hypercall path, the staged ring and the posted ring —
+// operating entirely on the (addr, n) snapshot its caller took. The
+// boundary crossing itself (the hypercall charge) is the caller's: per
+// frame on the hypercall path, per batch on the ring paths.
+//
+// Validation runs before a pooled buffer is taken or a byte moves: the
+// length bound (n is guest input on every path — a hypercall argument or a
+// guest-writable descriptor word — and the pooled skb's linear buffer is
+// kernel.SkbBufSize), then for a posted descriptor the per-page ownership
+// check through the guest TLB, which records the violation and its trace
+// event itself.
+//
+// The device gets a linear part copied into the pooled skb plus at most
+// one fragment of guest pages chained zero-copy. A staged frame copies the
+// model's scatter/gather split: the e1000's 96-byte header, the whole
+// frame on the rtl8139 (split 0). A posted frame copies nothing when the
+// device can take its pages directly (scatter/gather backend, pages
+// machine-contiguous), with the validated translations pinned so
+// dma_map_page resolves exactly what the TLB checked, and falls back to
+// copying everything otherwise — correctness everywhere, zero-copy where
+// the hardware allows it. Every non-fatal exit returns the pooled skb and
+// is contained to this frame; on a containment abort the teardown sweeps
+// skb and pins instead.
+func (t *Twin) xmit(d *NICDev, g *guestIO, addr uint32, n int, posted bool) error {
 	if n <= 0 || n > kernel.SkbBufSize {
-		t.ctlLane.Record(t.mMeter, telemetry.EvHostile, int32(g.dom.ID), 2, uint64(uint32(n)))
+		if posted {
+			t.ctlLane.Record(t.mMeter, telemetry.EvHostile, int32(g.dom.ID), 2, uint64(uint32(n)))
+		}
 		return ErrFrameOversize
 	}
-	hv := t.M.HV
-	meter := hv.Meter
-	// Ownership check first: every page of the posted frame resolves
-	// through the guest TLB before anything else happens. The TLB records
-	// the violation and its trace event itself.
-	spans, err := pageSpans(addr, n, func(a uint32) (uint32, error) {
-		return g.gtlb.Translate(meter, a)
-	})
-	if err != nil {
-		return err
-	}
-	// Inter-guest switch hook, after the ownership check — the switch
-	// must never read through an address the guest TLB rejected. A
-	// locally-delivered or spoof-dropped frame never touches the device.
-	if t.vsw != nil {
-		toDevice, verr := t.vswitchTx(g, addr, n)
-		if verr != nil {
-			return verr
+	split := t.M.Model.TxHeaderSplit
+	linear := n // bytes copied into the pooled skb's linear buffer
+	var pins []pageSpan
+	if !posted {
+		if split > 0 && n > split {
+			linear = split
 		}
-		if !toDevice {
-			return nil
+	} else {
+		meter := t.M.HV.Meter
+		spans, err := pageSpans(addr, n, func(a uint32) (uint32, error) {
+			return g.gtlb.Translate(meter, a)
+		})
+		if err != nil {
+			return err
+		}
+		contig := true
+		for i := 1; i < len(spans); i++ {
+			if spans[i].pa != spans[i-1].pa+uint32(spans[i-1].bytes) {
+				contig = false
+				break
+			}
+		}
+		if contig && split > 0 {
+			linear, pins = 0, spans
+		}
+	}
+	// Inter-guest switch (sched.go), after the ownership check — the
+	// switch must never read through an address the guest TLB rejected.
+	// Guest→guest unicast is delivered dom0-side and a forged source MAC
+	// drops the frame; neither touches the device.
+	if t.vsw != nil {
+		if toDevice, err := t.vswitchTx(g, addr, n); err != nil || !toDevice {
+			return err
 		}
 	}
 	skb, ok := t.poolGet()
@@ -222,96 +245,48 @@ func (t *Twin) xmitPosted(d *NICDev, g *guestIO, addr uint32, n int) error {
 		return ErrTxBusy
 	}
 	as := t.M.Dom0.AS
-	contig := true
-	for i := 1; i < len(spans); i++ {
-		if spans[i].pa != spans[i-1].pa+uint32(spans[i-1].bytes) {
-			contig = false
-			break
-		}
-	}
-	fallback := !contig || t.M.Model.TxHeaderSplit == 0
-	if fallback {
-		// The device cannot take the guest pages directly (no
-		// scatter/gather, or the frame is not machine-contiguous): copy the
-		// whole frame into the pooled linear buffer, per destination page,
-		// exactly like the staging path's header copy grown to full length.
+	if linear > 0 {
 		head, _ := as.Load(skb+kernel.SkbHead, 4)
-		dst, err := pageSpans(head, n, func(a uint32) (uint32, error) {
-			return t.SV.Translate(meter, a)
-		})
-		if err != nil {
+		if err := t.copyFromGuest(head, g, addr, linear); err != nil {
 			t.poolPut(skb)
 			return err
 		}
-		gas := g.dom.AS
-		off := 0
-		for _, sp := range dst {
-			meter.AddTo(cycles.CompXen, uint64(sp.bytes)*cost.HvCopyPerByte)
-			meter.TouchLines(sp.pa, sp.bytes)
-			if err := mem.Copy(hv.HVSpace, sp.pa, gas, addr+uint32(off), sp.bytes); err != nil {
-				t.poolPut(skb)
-				return err
-			}
-			off += sp.bytes
-		}
-		as.Store(skb+kernel.SkbNrFrags, 4, 0)
-	} else {
-		// Zero-copy: the whole frame rides as the fragment; the linear part
-		// is empty (the driver writes a zero-length linear descriptor, which
-		// the device model reads as zero bytes). The validated translations
-		// are pinned before the driver runs, so dma_map_page resolves
-		// exactly what the TLB checked.
-		t.pinSpans(skb, addr, spans)
-		as.Store(skb+kernel.SkbNrFrags, 4, 1)
-		as.Store(skb+kernel.SkbFragPage, 4, addr)
-		as.Store(skb+kernel.SkbFragOff, 4, 0)
-		as.Store(skb+kernel.SkbFragSize, 4, uint32(n))
+	}
+	if pins != nil {
+		t.pinSpans(skb, addr, pins)
 	}
 	as.Store(skb+kernel.SkbLen, 4, uint32(n))
+	// The queue mapping rides in the sk_buff like skb_set_queue_mapping:
+	// a multi-queue driver's xmit reads it to pick its register block;
+	// single-queue drivers ignore the word. The store is framework-side
+	// bookkeeping (no modeled cycles).
 	as.Store(skb+kernel.SkbQueue, 4, uint32(g.queue))
+	if n > linear {
+		// With nothing linear the driver writes a zero-length linear
+		// descriptor, which the device model reads as zero bytes.
+		as.Store(skb+kernel.SkbNrFrags, 4, 1)
+		as.Store(skb+kernel.SkbFragPage, 4, addr)
+		as.Store(skb+kernel.SkbFragOff, 4, uint32(linear))
+		as.Store(skb+kernel.SkbFragSize, 4, uint32(n-linear))
+	} else {
+		as.Store(skb+kernel.SkbNrFrags, 4, 0)
+	}
 
 	ret, err := t.invokeHV(t.xmitEntry, skb, d.Netdev)
 	if err != nil {
-		return err // containment abort: the teardown sweeps skb and pins
+		return err
 	}
 	if ret != 0 {
 		t.unpinSkb(skb)
 		t.poolPut(skb)
 		return ErrTxBusy
 	}
-	var fb uint64
-	if fallback {
-		fb = 1
-	}
-	t.ctlLane.Record(t.mMeter, telemetry.EvPostedTx, int32(g.dom.ID), uint64(n), fb)
-	return nil
-}
-
-// servicePostedTx consumes at most one posted descriptor from a guest's
-// posted-transmit ring (the per-guest step of the round-robin sweep,
-// alongside the staged-ring step). The first return reports whether a
-// descriptor was consumed. A corrupt ring header resets the ring and
-// fails the sweep, like the staged ring's; a frame-level failure loses
-// only that frame (counted in the guest's PostedTxLost) unless it killed
-// the instance.
-func (t *Twin) servicePostedTx(d *NICDev, g *guestIO, sent map[mem.Owner]int) (bool, error) {
-	addr, n, ok, err := g.txRing.Pop()
-	if err != nil {
-		_ = g.txRing.Reset()
-		t.ctlLane.Record(t.mMeter, telemetry.EvHostile, int32(g.dom.ID), 1, 0)
-		return false, fmt.Errorf("core: guest %d posted-tx ring: %w", g.dom.ID, err)
-	}
-	if !ok {
-		return false, nil
-	}
-	if err := t.xmitPosted(d, g, addr, int(n)); err != nil {
-		if t.Dead {
-			return true, err
+	if posted {
+		var fallback uint64
+		if pins == nil {
+			fallback = 1
 		}
-		// Hostile, oversize or resource-starved: contained to this frame.
-		g.postedLost++
-		return true, nil
+		t.ctlLane.Record(t.mMeter, telemetry.EvPostedTx, int32(g.dom.ID), uint64(n), fallback)
 	}
-	sent[g.dom.ID]++
-	return true, nil
+	return nil
 }

@@ -113,8 +113,8 @@ type Params struct {
 	// Weights sets per-guest deficit-round-robin weights on the twin
 	// path (applied cyclically over the guest list, see
 	// core.TwinConfig.Weights) and Rates per-crossing descriptor caps.
-	// Consumed by RunSched — nil keeps the classic equal round-robin
-	// that every other measurement runs.
+	// Consumed by RunSched — nil is the unit-weight, uncapped
+	// round-robin that every other measurement runs.
 	Weights []int
 	Rates   []int
 

@@ -51,7 +51,7 @@ func (r *SchedResult) BenchKey() string {
 }
 
 // Spec renders the scheduler configuration for reports: "equal" for
-// the classic round-robin, otherwise the weight/rate vectors as they
+// unit weights and no caps, otherwise the weight/rate vectors as they
 // appear in the bench key, e.g. "w=4:2:1 r=2:0".
 func (r *SchedResult) Spec() string {
 	s := strings.TrimPrefix(schedSuffix(r.weights, r.rates), "/")
@@ -71,8 +71,8 @@ func (r *SchedResult) Rates() string {
 // topped up and each boundary crossing consumes at most Batch
 // descriptors per guest on average (the crossing budget is
 // Batch×guests), so demand always exceeds service. Params.Weights and
-// Params.Rates configure the DRR scheduler; with both nil the classic
-// equal round-robin serves as the baseline row.
+// Params.Rates configure the DRR scheduler; with both nil every guest
+// weighs 1 (plain round-robin), the baseline row.
 func RunSched(guests int, prm Params) (*SchedResult, error) {
 	prm.defaults()
 	if prm.Queues != 0 {

@@ -373,88 +373,67 @@ func (p *Path) recoverDead(err error) bool {
 }
 
 // SendBurst pushes n size-byte packets out through NIC index i. On the
-// domU-twin path with BatchSize > 1, frames cross the guest→hypervisor
-// boundary in batches of BatchSize via the shared descriptor ring (one
-// hypercall per batch); every other configuration — and BatchSize <= 1 —
-// runs the per-packet path n times. It returns the number of packets that
+// domU-twin path with BatchSize > 1 or PostedTX, frames cross the
+// guest→hypervisor boundary in batches of BatchSize (one hypercall per
+// batch; the posted path is batched by construction, so BatchSize <= 1
+// degenerates to one-frame batches); every other configuration runs the
+// per-packet path n times. It returns the number of packets that
 // completed. With a recovery supervisor attached, a driver death mid-burst
 // is healed and the burst resumes; a transmitted frame is never duplicated
 // because a faulting invocation dies before the frame reaches the wire.
 func (p *Path) SendBurst(i, size, n int) (int, error) {
-	if p.Kind == Twin && p.PostedTX {
-		// The posted path is batched by construction (write, post,
-		// service); BatchSize <= 1 degenerates to one-frame batches.
-		return p.burst(i, n, &p.TxCount, func(shortfall int) {
-			p.RetriedTx += uint64(shortfall)
-		}, func(i, burst int) (int, error) {
-			return p.sendTwinPostedBatch(i, size, burst)
-		})
+	if p.Kind == Twin && (p.BatchSize > 1 || p.PostedTX) {
+		return p.burst(i, size, n, false)
 	}
-	if p.Kind != Twin || p.BatchSize <= 1 {
-		for k := 0; k < n; k++ {
-			if err := p.SendOne(i+k, size); err != nil {
-				if p.recoverDead(err) {
-					p.RetriedTx++
-					k-- // the frame never left: re-send it
-					continue
-				}
-				return k, err
+	for k := 0; k < n; k++ {
+		if err := p.SendOne(i+k, size); err != nil {
+			if p.recoverDead(err) {
+				p.RetriedTx++
+				k-- // the frame never left: re-send it
+				continue
 			}
+			return k, err
 		}
-		return n, nil
 	}
-	return p.burst(i, n, &p.TxCount, func(shortfall int) {
-		p.RetriedTx += uint64(shortfall)
-	}, func(i, burst int) (int, error) {
-		return p.sendTwinBatch(i, size, burst)
-	})
+	return n, nil
 }
 
 // ReceiveBurst injects n size-byte packets into NIC index i and runs the
-// receive path. On the domU-twin path with BatchSize > 1, up to BatchSize
-// frames are drained per coalesced interrupt and delivered to the guest
-// under a single notification; otherwise the per-packet path runs n times.
-// With a recovery supervisor attached, frames consumed by the NIC that die
-// with a faulted instance are counted in LostRx and replacements are
-// injected — bounded loss, not a dead path.
+// receive path. On the domU-twin path with BatchSize > 1 or PostedRX, up
+// to BatchSize frames are drained per coalesced interrupt and delivered to
+// the guest under a single notification; otherwise the per-packet path
+// runs n times. With a recovery supervisor attached, frames consumed by
+// the NIC that die with a faulted instance are counted in LostRx and
+// replacements are injected — bounded loss, not a dead path.
 func (p *Path) ReceiveBurst(i, size, n int) (int, error) {
-	if p.Kind == Twin && p.PostedRX {
-		// The posted path is batched by construction (post, inject,
-		// deliver); BatchSize <= 1 degenerates to one-frame batches.
-		return p.burst(i, n, &p.RxCount, func(shortfall int) {
-			p.LostRx += uint64(shortfall)
-		}, func(i, burst int) (int, error) {
-			return p.recvTwinPostedBatch(i, size, burst)
-		})
+	if p.Kind == Twin && (p.BatchSize > 1 || p.PostedRX) {
+		return p.burst(i, size, n, true)
 	}
-	if p.Kind != Twin || p.BatchSize <= 1 {
-		for k := 0; k < n; k++ {
-			if err := p.ReceiveOne(i+k, size); err != nil {
-				if p.recoverDead(err) {
-					p.LostRx++
-					k-- // the injected frame died with the instance
-					continue
-				}
-				return k, err
+	for k := 0; k < n; k++ {
+		if err := p.ReceiveOne(i+k, size); err != nil {
+			if p.recoverDead(err) {
+				p.LostRx++
+				k-- // the injected frame died with the instance
+				continue
 			}
+			return k, err
 		}
-		return n, nil
 	}
-	return p.burst(i, n, &p.RxCount, func(shortfall int) {
-		p.LostRx += uint64(shortfall)
-	}, func(i, burst int) (int, error) {
-		return p.recvTwinBatch(i, size, burst)
-	})
+	return n, nil
 }
 
-// burst chunks n packets into BatchSize batches through step, accumulating
-// into count. A chunk completing zero packets without an error ends the
-// burst early (e.g. interrupts deferred under a masked virtual IRQ flag) —
-// retrying would only re-stage duplicate work. A driver death is retried
-// after transparent recovery; onRecover is told the faulted chunk's
-// shortfall (frames the chunk consumed but never completed) so the caller
-// can account it as lost (receive) or re-staged (transmit).
-func (p *Path) burst(i, n int, count *uint64, onRecover func(shortfall int), step func(i, burst int) (int, error)) (int, error) {
+// burst chunks n packets into BatchSize batches through sendTwinBatch or
+// (rx) recvTwinBatch. A chunk completing zero packets without an error
+// ends the burst early (e.g. interrupts deferred under a masked virtual
+// IRQ flag) — retrying would only re-stage duplicate work. A driver death
+// is retried after transparent recovery, and the faulted chunk's shortfall
+// (frames the chunk consumed but never completed) is accounted as lost
+// (receive) or re-staged (transmit).
+func (p *Path) burst(i, size, n int, rx bool) (int, error) {
+	count, shortfall := &p.TxCount, &p.RetriedTx
+	if rx {
+		count, shortfall = &p.RxCount, &p.LostRx
+	}
 	bs := p.BatchSize
 	if bs < 1 {
 		bs = 1 // the posted path batches even at the per-packet setting
@@ -465,12 +444,18 @@ func (p *Path) burst(i, n int, count *uint64, onRecover func(shortfall int), ste
 		if burst > bs {
 			burst = bs
 		}
-		done, err := step(i+moved, burst)
+		var done int
+		var err error
+		if rx {
+			done, err = p.recvTwinBatch(i+moved, size, burst)
+		} else {
+			done, err = p.sendTwinBatch(i+moved, size, burst)
+		}
 		moved += done
 		*count += uint64(done)
 		if err != nil {
 			if p.recoverDead(err) {
-				onRecover(burst - done)
+				*shortfall += uint64(burst - done)
 				continue
 			}
 			return moved, err
@@ -644,7 +629,6 @@ func (p *Path) sendTwin(d *core.NICDev, frame []byte) error {
 
 func (p *Path) recvTwin(d *core.NICDev, frame []byte) error {
 	m := p.M
-	meter := p.Meter()
 	m.HV.Switch(m.DomU)
 	if !d.Dev.Inject(frame) {
 		return fmt.Errorf("netpath: rx overrun")
@@ -653,78 +637,88 @@ func (p *Path) recvTwin(d *core.NICDev, frame []byte) error {
 	if err := p.T.HandleIRQ(d); err != nil {
 		return err
 	}
-	pkts, err := p.T.DeliverPending(m.DomU)
-	if err != nil {
-		return err
-	}
-	// Guest paravirtual driver + stack for each delivered packet.
-	for range pkts {
-		meter.AddTo(cycles.CompDomU, cost.PvDriverRx)
-		meter.AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(len(frame))*cost.RxKernelPerByte)
-	}
-	return nil
+	_, err := p.deliverGuest(m.DomU, 0, false)
+	return err
 }
 
-// sendTwinBatch stages burst frames and crosses the boundary once: the
-// guest kernel work stays per-packet (the stack runs for every frame), the
-// hypercall amortizes over the batch.
-func (p *Path) sendTwinBatch(i, size, burst int) (int, error) {
-	m := p.M
+// deliverGuest delivers at most max (0 means all) of dom's queued frames,
+// in dom's context: a single copy straight into the guest's posted buffers
+// (posted), or the paper's copy through the shared region, copied out again
+// by the paravirtual driver. Each delivered frame is priced with the guest
+// paravirtual driver and stack; frames lost to a bad posted descriptor or
+// dropped behind a mid-batch delivery fault count in LostRx, exactly once
+// (frames delivered before the fault still reached the guest). It returns
+// the number delivered; an error means the batch is over for every guest.
+func (p *Path) deliverGuest(dom *xen.Domain, max int, posted bool) (int, error) {
 	meter := p.Meter()
-	m.HV.Switch(m.DomU)
-	// A batch targets one device: the ring is per-vif, as in netfront.
-	d := m.Devs[i%len(m.Devs)]
-	frames := make([][]byte, burst)
-	for k := range frames {
-		f, err := p.frame(d, size, false)
+	if posted {
+		del, err := p.T.DeliverPendingPosted(dom, max)
 		if err != nil {
 			return 0, err
 		}
-		frames[k] = f
-		meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(f))*cost.TxKernelPerByte)
+		// Completion only: the frame already sits in the guest's own buffer.
+		for _, fr := range del.Frames {
+			meter.AddTo(cycles.CompDomU, cost.PvDriverRxPosted)
+			meter.AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(fr.Len)*cost.RxKernelPerByte)
+		}
+		p.LostRx += uint64(del.Lost)
+		return len(del.Frames), nil
 	}
-	return p.T.GuestTransmitBatch(d, frames)
+	pkts, err := p.T.DeliverPendingBatch(dom, max)
+	for _, pkt := range pkts {
+		meter.AddTo(cycles.CompDomU, cost.PvDriverRx)
+		meter.AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(len(pkt))*cost.RxKernelPerByte)
+	}
+	if err != nil {
+		var de *core.DeliveryError
+		if errors.As(err, &de) {
+			p.LostRx += uint64(de.Dropped)
+			err = nil
+		}
+	}
+	return len(pkts), err
 }
 
-// sendTwinPostedBatch is sendTwinBatch on the posted-descriptor path: each
-// frame is written once into the guest's own transmit arena (in the real
-// system it already sits in guest memory), its (addr,len) descriptor is
-// posted on the guest's posted-TX ring, and one ServiceRings crossing
-// resolves, pins and hands the guest pages to the device — the staging
-// copy and its per-byte kernel cost disappear; the guest side pays the
-// fixed stack cost plus one descriptor post per frame.
-func (p *Path) sendTwinPostedBatch(i, size, burst int) (int, error) {
+// sendTwinBatch moves burst frames of the first guest across the boundary.
+// The guest kernel work stays per-packet (the stack runs for every frame).
+// In copy mode one GuestTransmitBatch stages the frames and crosses once,
+// so the hypercall amortizes over the batch. In PostedTX mode each
+// ring-sized chunk is posted (stageTxMulti) and one ServiceRings crossing
+// resolves, pins and hands the guest pages to the device.
+func (p *Path) sendTwinBatch(i, size, burst int) (int, error) {
 	m := p.M
-	meter := p.Meter()
-	m.HV.Switch(m.DomU)
+	// A batch targets one device: the ring is per-vif, as in netfront.
 	d := m.Devs[i%len(m.Devs)]
-	a := p.txArenaFor(m.DomU)
+	if !p.PostedTX {
+		m.HV.Switch(m.DomU)
+		var buf [core.TxRingSlots][]byte
+		frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, burst)
+		if err != nil {
+			return 0, err
+		}
+		meter := p.Meter()
+		for _, f := range frames {
+			meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(f))*cost.TxKernelPerByte)
+		}
+		return p.T.GuestTransmitBatch(d, frames)
+	}
 	done := 0
 	for done < burst {
 		chunk := burst - done
 		if chunk > core.TxRingSlots {
 			chunk = core.TxRingSlots
 		}
-		descs := make([]core.TxPost, 0, chunk)
-		for k := 0; k < chunk; k++ {
-			f, err := p.frame(d, size, false)
-			if err != nil {
-				return done, err
-			}
-			slot := a.slots[a.next]
-			a.next = (a.next + 1) % len(a.slots)
-			if err := m.DomU.AS.WriteBytes(slot, f); err != nil {
-				return done, err
-			}
-			meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+cost.TxPostPerDesc)
-			descs = append(descs, core.TxPost{Addr: slot, Len: uint32(len(f))})
-		}
-		posted, err := p.T.PostTxDescriptors(m.DomU, descs)
+		var buf [core.TxRingSlots][]byte
+		frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, chunk)
 		if err != nil {
 			return done, err
 		}
-		if posted < len(descs) {
-			return done, fmt.Errorf("netpath: posted %d of %d tx descriptors", posted, len(descs))
+		posted, err := p.stageTxMulti(m.DomU, frames, true)
+		if err != nil {
+			return done, err
+		}
+		if posted < chunk {
+			return done, fmt.Errorf("netpath: posted %d of %d tx descriptors", posted, chunk)
 		}
 		sent, err := p.T.ServiceRings(d, 0)
 		got := sent[m.DomU.ID]
@@ -743,74 +737,30 @@ func (p *Path) sendTwinPostedBatch(i, size, burst int) (int, error) {
 
 // recvTwinBatch injects burst frames, services them with one coalesced
 // interrupt (the driver's receive loop drains everything pending), and
-// delivers the batch to the guest under a single notification.
+// delivers the batch to the guest under a single notification. In PostedRX
+// mode the guest first posts a receive buffer per frame, a ring-sized
+// chunk at a time, and only what the ring accepted is injected (it may
+// hold leftovers from a short round).
 func (p *Path) recvTwinBatch(i, size, burst int) (int, error) {
 	m := p.M
-	meter := p.Meter()
-	m.HV.Switch(m.DomU)
-	d := m.Devs[i%len(m.Devs)]
-	for k := 0; k < burst; k++ {
-		f, err := p.frame(d, size, true)
-		if err != nil {
-			return 0, err
-		}
-		if !d.Dev.Inject(f) {
-			return 0, fmt.Errorf("netpath: rx overrun")
-		}
-	}
-	p.T.Coalescer.Begin()
-	defer p.T.Coalescer.End()
-	// One interrupt for the whole burst: the hypervisor driver's receive
-	// loop drains every pending descriptor in this invocation.
-	if err := p.T.HandleIRQ(d); err != nil {
-		return 0, err
-	}
-	pkts, err := p.T.DeliverPendingBatch(m.DomU, burst)
-	// Guest paravirtual driver + stack for each delivered packet — frames
-	// delivered before a mid-batch fault still reached the guest.
-	for _, pkt := range pkts {
-		meter.AddTo(cycles.CompDomU, cost.PvDriverRx)
-		meter.AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(len(pkt))*cost.RxKernelPerByte)
-	}
-	if err != nil {
-		// A mid-batch delivery fault dropped the dequeued remainder: the
-		// delivered frames count as delivered, the dropped ones as lost —
-		// each exactly once — and the burst goes on.
-		var de *core.DeliveryError
-		if errors.As(err, &de) {
-			p.LostRx += uint64(de.Dropped)
-			return len(pkts), nil
-		}
-		return len(pkts), err
-	}
-	return len(pkts), nil
-}
-
-// recvTwinPostedBatch is recvTwinBatch on the posted-buffer path: the
-// guest posts receive buffers ahead of the burst, the injected frames are
-// drained by one coalesced interrupt, and delivery copies each frame once,
-// directly into its posted guest buffer.
-func (p *Path) recvTwinPostedBatch(i, size, burst int) (int, error) {
-	m := p.M
-	meter := p.Meter()
 	m.HV.Switch(m.DomU)
 	d := m.Devs[i%len(m.Devs)]
 	done := 0
 	for done < burst {
 		chunk := burst - done
-		if chunk > core.RxRingSlots {
-			chunk = core.RxRingSlots
+		if p.PostedRX {
+			if chunk > core.RxRingSlots {
+				chunk = core.RxRingSlots
+			}
+			var err error
+			if chunk, err = p.postBuffers(m.DomU, chunk); err != nil {
+				return done, err
+			}
+			if chunk == 0 {
+				break
+			}
 		}
-		// Guest side: post buffers for the chunk. The ring may hold
-		// leftovers from a short round; inject only what got posted.
-		posted, err := p.postBuffers(m.DomU, chunk)
-		if err != nil {
-			return done, err
-		}
-		if posted == 0 {
-			break
-		}
-		for k := 0; k < posted; k++ {
+		for k := 0; k < chunk; k++ {
 			f, err := p.frame(d, size, true)
 			if err != nil {
 				return done, err
@@ -819,74 +769,75 @@ func (p *Path) recvTwinPostedBatch(i, size, burst int) (int, error) {
 				return done, fmt.Errorf("netpath: rx overrun")
 			}
 		}
+		// One interrupt for the whole chunk: the hypervisor driver's receive
+		// loop drains every pending descriptor in this invocation.
 		p.T.Coalescer.Begin()
-		err = p.T.HandleIRQ(d)
-		var del *core.RxDelivery
+		got := 0
+		err := p.T.HandleIRQ(d)
 		if err == nil {
-			del, err = p.T.DeliverPendingPosted(m.DomU, posted)
+			got, err = p.deliverGuest(m.DomU, chunk, p.PostedRX)
 		}
 		p.T.Coalescer.End()
+		done += got
 		if err != nil {
 			return done, err
 		}
-		// Guest paravirtual driver completion + stack per delivered frame:
-		// no copy-out — the frame already sits in the guest's own buffer.
-		for _, fr := range del.Frames {
-			meter.AddTo(cycles.CompDomU, cost.PvDriverRxPosted)
-			meter.AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(fr.Len)*cost.RxKernelPerByte)
-		}
-		p.LostRx += uint64(del.Lost)
-		done += len(del.Frames)
-		if len(del.Frames) == 0 {
-			// A round that delivered nothing cannot make progress by
-			// repeating (e.g. every frame exceeds the posted buffer
-			// size): return the short count instead of re-posting and
-			// re-losing forever.
+		if got == 0 || !p.PostedRX {
+			// Copy mode is one pass: a short delivery is the caller's to
+			// continue. A posted round that delivered nothing cannot make
+			// progress by repeating (nothing posted, or every frame exceeds
+			// the posted buffer size): return the short count instead of
+			// re-posting and re-losing forever.
 			break
 		}
 	}
 	return done, nil
 }
 
-// --- Multi-guest fan-out (domU-twin only) ---------------------------------
-
-// stageTxMulti moves count frames of one guest to the hypervisor boundary,
-// in guest context: the staging-ring copy in the default mode, or a write
-// into the guest's own transmit arena plus an (addr,len) descriptor post
-// in PostedTX mode. It returns how many frames were staged or posted.
-func (p *Path) stageTxMulti(dom *xen.Domain, d *core.NICDev, size, count int) (int, error) {
-	m := p.M
-	meter := p.Meter()
-	m.HV.Switch(dom)
-	if p.PostedTX {
-		a := p.txArenaFor(dom)
-		descs := make([]core.TxPost, 0, count)
-		for k := 0; k < count; k++ {
-			f, err := p.frameFrom(d.Dev.HWAddr(), size)
-			if err != nil {
-				return 0, err
-			}
-			slot := a.slots[a.next]
-			a.next = (a.next + 1) % len(a.slots)
-			if err := dom.AS.WriteBytes(slot, f); err != nil {
-				return 0, err
-			}
-			meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+cost.TxPostPerDesc)
-			descs = append(descs, core.TxPost{Addr: slot, Len: uint32(len(f))})
-		}
-		return p.T.PostTxDescriptors(dom, descs)
-	}
-	frames := make([][]byte, count)
-	for k := range frames {
-		f, err := p.frameFrom(d.Dev.HWAddr(), size)
+// txFrames appends count size-byte transmit frames sourced from src to
+// frames, in generation order.
+func (p *Path) txFrames(frames [][]byte, src [6]byte, size, count int) ([][]byte, error) {
+	for k := 0; k < count; k++ {
+		f, err := p.frameFrom(src, size)
 		if err != nil {
+			return nil, err
+		}
+		frames = append(frames, f)
+	}
+	return frames, nil
+}
+
+// stageTxMulti is the guest-side transmit producer: it moves one guest's
+// frames to the hypervisor boundary, in guest context, charging the guest
+// kernel stack per frame — the staging-ring copy in copy mode, or (posted)
+// a write into the guest's own transmit arena (in the real system the
+// frame already sits in guest memory) plus an (addr,len) descriptor post,
+// which replaces the staging copy's per-byte cost. It returns how many
+// frames were staged or posted.
+func (p *Path) stageTxMulti(dom *xen.Domain, frames [][]byte, posted bool) (int, error) {
+	meter := p.Meter()
+	p.M.HV.Switch(dom)
+	if !posted {
+		for _, f := range frames {
+			meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(f))*cost.TxKernelPerByte)
+		}
+		return p.T.StageTransmitBatch(dom, frames)
+	}
+	a := p.txArenaFor(dom)
+	descs := make([]core.TxPost, 0, len(frames))
+	for _, f := range frames {
+		slot := a.slots[a.next]
+		a.next = (a.next + 1) % len(a.slots)
+		if err := dom.AS.WriteBytes(slot, f); err != nil {
 			return 0, err
 		}
-		frames[k] = f
-		meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(f))*cost.TxKernelPerByte)
+		meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+cost.TxPostPerDesc)
+		descs = append(descs, core.TxPost{Addr: slot, Len: uint32(len(f))})
 	}
-	return p.T.StageTransmitBatch(dom, frames)
+	return p.T.PostTxDescriptors(dom, descs)
 }
+
+// --- Multi-guest fan-out (domU-twin only) ---------------------------------
 
 // SendBurstMulti pushes n size-byte packets per guest out through NIC
 // index i: every guest runs its kernel stack and stages a ring-sized chunk
@@ -918,7 +869,12 @@ func (p *Path) SendBurstMulti(i, size, n int) (map[mem.Owner]int, error) {
 				if need[dom.ID] == 0 {
 					continue
 				}
-				staged, err := p.stageTxMulti(dom, d, size, need[dom.ID])
+				var buf [core.TxRingSlots][]byte
+				frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, need[dom.ID])
+				if err != nil {
+					return total, err
+				}
+				staged, err := p.stageTxMulti(dom, frames, p.PostedTX)
 				if err != nil {
 					if p.recoverDead(err) {
 						continue // re-stage this guest on the fresh twin
@@ -969,7 +925,6 @@ func (p *Path) ReceiveBurstMulti(i, size, n int) (map[mem.Owner]int, error) {
 		return nil, fmt.Errorf("netpath: multi-guest bursts need the domU-twin path")
 	}
 	m := p.M
-	meter := p.Meter()
 	d := m.Devs[i%len(m.Devs)]
 	total := make(map[mem.Owner]int)
 	// Bound each round so guests*chunk stays within the NIC's descriptor
@@ -1056,45 +1011,11 @@ func (p *Path) ReceiveBurstMulti(i, size, n int) (map[mem.Owner]int, error) {
 				var dead error
 				for _, dom := range wave {
 					m.HV.Switch(dom)
+					// Lost or dropped frames are counted once inside; need
+					// stays up for them, so the round repeats and injects
+					// replacements.
 					var got int
-					if p.PostedRX {
-						del, err := p.T.DeliverPendingPosted(dom, need[dom.ID])
-						if err != nil {
-							dead = err
-							break
-						}
-						// Completion only: the frame already sits in the
-						// guest's own posted buffer.
-						for _, fr := range del.Frames {
-							meter.AddTo(cycles.CompDomU, cost.PvDriverRxPosted)
-							meter.AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(fr.Len)*cost.RxKernelPerByte)
-						}
-						// Frames that burned a bad posted descriptor are lost
-						// exactly once; replacements are injected next round
-						// (need stays up, so the round repeats for them).
-						p.LostRx += uint64(del.Lost)
-						got = len(del.Frames)
-					} else {
-						pkts, err := p.T.DeliverPendingBatch(dom, need[dom.ID])
-						// Frames delivered before a mid-batch fault still
-						// reached the guest: price and count them before
-						// deciding what the error means.
-						for _, pkt := range pkts {
-							meter.AddTo(cycles.CompDomU, cost.PvDriverRx)
-							meter.AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(len(pkt))*cost.RxKernelPerByte)
-						}
-						got = len(pkts)
-						if err != nil {
-							var de *core.DeliveryError
-							if errors.As(err, &de) {
-								// The dropped remainder is lost exactly once;
-								// replacements are injected next round.
-								p.LostRx += uint64(de.Dropped)
-							} else {
-								dead = err
-							}
-						}
-					}
+					got, dead = p.deliverGuest(dom, need[dom.ID], p.PostedRX)
 					total[dom.ID] += got
 					need[dom.ID] -= got
 					delivered += got
@@ -1143,7 +1064,7 @@ func (p *Path) ReceiveBurstMulti(i, size, n int) (map[mem.Owner]int, error) {
 // ServiceRings crossings consumes at most `budget` descriptors — so
 // demand always exceeds service and the per-guest completion counts
 // reveal the scheduler's share decisions (proportional to
-// TwinConfig.Weights under DRR, equal under the classic round-robin).
+// TwinConfig.Weights; equal when they are nil).
 // It returns the cumulative per-guest transmit counts.
 func (p *Path) SendContended(i, size, crossings, budget int) (map[mem.Owner]int, error) {
 	if p.Kind != Twin {
@@ -1168,7 +1089,12 @@ func (p *Path) SendContended(i, size, crossings, budget int) (map[mem.Owner]int,
 			if want <= 0 {
 				continue
 			}
-			staged, err := p.stageTxMulti(dom, d, size, want)
+			var buf [core.TxRingSlots][]byte
+			frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, want)
+			if err != nil {
+				return total, err
+			}
+			staged, err := p.stageTxMulti(dom, frames, p.PostedTX)
 			if err != nil {
 				if p.recoverDead(err) {
 					continue // re-stage this guest next crossing
@@ -1210,7 +1136,6 @@ func (p *Path) SendLocal(i, size, n, src, dst int) (int, error) {
 		return 0, fmt.Errorf("netpath: bad guest pair %d->%d of %d guests", src, dst, len(p.M.Guests))
 	}
 	m := p.M
-	meter := p.Meter()
 	d := m.Devs[i%len(m.Devs)]
 	sdom, ddom := m.Guests[src], m.Guests[dst]
 	switched := p.T.VSwitch() != nil
@@ -1220,19 +1145,18 @@ func (p *Path) SendLocal(i, size, n, src, dst int) (int, error) {
 		if chunk > core.TxRingSlots-1 {
 			chunk = core.TxRingSlots - 1
 		}
-		// Guest src: kernel stack + staging copy for each frame, then one
-		// crossing drains the batch.
-		m.HV.Switch(sdom)
-		frames := make([][]byte, chunk)
-		for k := range frames {
-			payload, err := p.framePayload(size)
-			if err != nil {
-				return done, err
-			}
-			frames[k] = core.EthernetFrame(p.guestMACs[dst], p.guestMACs[src], 0x0800, payload)
-			meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(frames[k]))*cost.TxKernelPerByte)
+		// Guest src: kernel stack + staging copy for each frame (always the
+		// copy path, whatever PostedTX says), then one crossing drains the
+		// batch.
+		var buf [core.TxRingSlots][]byte
+		frames, err := p.txFrames(buf[:0], p.guestMACs[src], size, chunk)
+		if err != nil {
+			return done, err
 		}
-		staged, err := p.T.StageTransmitBatch(sdom, frames)
+		for _, f := range frames {
+			copy(f, p.guestMACs[dst][:]) // readdress from the external sink to guest dst
+		}
+		staged, err := p.stageTxMulti(sdom, frames, false)
 		if err != nil {
 			return done, err
 		}
@@ -1262,18 +1186,14 @@ func (p *Path) SendLocal(i, size, n, src, dst int) (int, error) {
 		}
 		// Guest dst: paravirtual driver + stack per delivered frame.
 		m.HV.Switch(ddom)
-		pkts, err := p.T.DeliverPendingBatch(ddom, chunk)
-		for _, pkt := range pkts {
-			meter.AddTo(cycles.CompDomU, cost.PvDriverRx)
-			meter.AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(len(pkt))*cost.RxKernelPerByte)
-		}
+		got, err := p.deliverGuest(ddom, chunk, false)
 		p.T.Coalescer.End()
+		done += got
 		if err != nil {
-			return done + len(pkts), err
+			return done, err
 		}
-		p.RxCount += uint64(len(pkts))
-		done += len(pkts)
-		if len(pkts) == 0 {
+		p.RxCount += uint64(got)
+		if got == 0 {
 			return done, fmt.Errorf("netpath: local delivery made no progress (%d of %d)", done, n)
 		}
 	}
