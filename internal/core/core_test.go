@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"twindrivers/internal/cycles"
 	"twindrivers/internal/e1000"
 	"twindrivers/internal/kernel"
 )
@@ -636,7 +637,7 @@ func TestTwinRewrittenDriverSlowdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nativeDrv := mn.CPU.Meter.Get("e1000") / reps
+	nativeDrv := mn.CPU.Meter.Get(cycles.CompDriver) / reps
 
 	// Twin driver cycles for one TX.
 	mt, tw, err := NewTwinMachine(1, 1, TwinConfig{})
@@ -657,7 +658,7 @@ func TestTwinRewrittenDriverSlowdown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	twinDrv := mt.CPU.Meter.Get("e1000") / reps
+	twinDrv := mt.CPU.Meter.Get(cycles.CompDriver) / reps
 
 	ratio := float64(twinDrv) / float64(nativeDrv)
 	t.Logf("driver cycles/packet: native=%d rewritten=%d ratio=%.2f", nativeDrv, twinDrv, ratio)

@@ -122,7 +122,7 @@ func (t *Twin) PublishMetrics(reg *telemetry.Registry) {
 			cycles.CompDom0, cycles.CompDomU, cycles.CompXen, cycles.CompDriver,
 		} {
 			comp := comp
-			gauge("queue_cycles_total", labels("queue", fmt.Sprintf("%d", q), "component", string(comp)),
+			gauge("queue_cycles_total", labels("queue", fmt.Sprintf("%d", q), "component", comp.String()),
 				func() float64 { return float64(t.queueMeters[q].Get(comp)) })
 		}
 	}

@@ -244,14 +244,20 @@ type pageSpan struct {
 	bytes int
 }
 
+// spanBuf holds the spans of one frame: kernel.SkbBufSize bytes touch at
+// most two pages.
+type spanBuf [2]pageSpan
+
 // pageSpans splits [addr, addr+n) at page boundaries and translates the
 // start of each chunk — the per-page discipline every copy into
 // separately-translated memory must follow: a buffer straddling a page
 // boundary must never inherit the first page's translation for bytes on
 // the second (the transmit header-copy bug class). All pages translate
-// before the caller moves a byte, so its copy is all-or-nothing.
-func pageSpans(addr uint32, n int, translate func(uint32) (uint32, error)) ([]pageSpan, error) {
-	var spans []pageSpan
+// before the caller moves a byte, so its copy is all-or-nothing. The spans
+// are built in buf, the caller's own storage, so a frame costs no
+// allocation; a buffer of more pages than buf holds spills to the heap.
+func pageSpans(buf *spanBuf, addr uint32, n int, translate func(uint32) (uint32, error)) ([]pageSpan, error) {
+	spans := buf[:0]
 	for off := 0; off < n; {
 		chunk := int(mem.PageSize - ((addr + uint32(off)) & mem.PageMask))
 		if chunk > n-off {
@@ -271,7 +277,8 @@ func pageSpans(addr uint32, n int, translate func(uint32) (uint32, error)) ([]pa
 // virtual address start into the guest buffer at gaddr, translating every
 // destination page separately through the guest's software TLB.
 func (t *Twin) copyToPosted(g *guestIO, gaddr uint32, start uint32, total int, meter *cycles.Meter) error {
-	spans, err := pageSpans(gaddr, total, func(a uint32) (uint32, error) {
+	var buf spanBuf
+	spans, err := pageSpans(&buf, gaddr, total, func(a uint32) (uint32, error) {
 		return g.gtlb.Translate(meter, a)
 	})
 	if err != nil {

@@ -247,8 +247,8 @@ func (t *Twin) vswitchTx(g *guestIO, guestAddr uint32, n int) (bool, error) {
 		// let the device path handle it as it always did.
 		return true, nil
 	}
-	hdr, err := g.dom.AS.ReadBytes(guestAddr, 12)
-	if err != nil {
+	var hdr [12]byte
+	if err := g.dom.AS.ReadInto(guestAddr, hdr[:]); err != nil {
 		return false, err
 	}
 	var dst, src vswitch.MAC

@@ -859,7 +859,8 @@ func (t *Twin) GuestTransmitAt(d *NICDev, guestAddr uint32, n int) error {
 func (t *Twin) copyFromGuest(dst uint32, g *guestIO, src uint32, n int) error {
 	hv := t.M.HV
 	meter := hv.Meter
-	spans, err := pageSpans(dst, n, func(a uint32) (uint32, error) {
+	var buf spanBuf
+	spans, err := pageSpans(&buf, dst, n, func(a uint32) (uint32, error) {
 		return t.SV.Translate(meter, a)
 	})
 	if err != nil {

@@ -214,7 +214,8 @@ func (t *Twin) xmit(d *NICDev, g *guestIO, addr uint32, n int, posted bool) erro
 		}
 	} else {
 		meter := t.M.HV.Meter
-		spans, err := pageSpans(addr, n, func(a uint32) (uint32, error) {
+		var buf spanBuf
+		spans, err := pageSpans(&buf, addr, n, func(a uint32) (uint32, error) {
 			return g.gtlb.Translate(meter, a)
 		})
 		if err != nil {

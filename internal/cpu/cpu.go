@@ -42,7 +42,8 @@ const (
 	FaultStackGuard            // stack pointer entered a guard page
 )
 
-var faultNames = map[FaultKind]string{
+var faultNames = [...]string{
+	FaultNone: "no fault",
 	FaultPage: "page fault", FaultProtection: "protection violation",
 	FaultPrivileged: "privileged instruction", FaultInvalidOp: "invalid opcode",
 	FaultBadCall: "bad indirect call target", FaultBadFetch: "bad instruction fetch",
@@ -52,8 +53,8 @@ var faultNames = map[FaultKind]string{
 
 // String names the fault kind as the fault message prints it.
 func (k FaultKind) String() string {
-	if n, ok := faultNames[k]; ok {
-		return n
+	if int(k) < len(faultNames) {
+		return faultNames[k]
 	}
 	return "no fault"
 }
@@ -67,7 +68,7 @@ type Fault struct {
 }
 
 func (f *Fault) Error() string {
-	s := fmt.Sprintf("cpu: %s at pc=%#08x", faultNames[f.Kind], f.PC)
+	s := fmt.Sprintf("cpu: %s at pc=%#08x", f.Kind, f.PC)
 	if f.Addr != 0 {
 		s += fmt.Sprintf(" addr=%#08x", f.Addr)
 	}
@@ -129,6 +130,7 @@ type CPU struct {
 	OnExternCall func(name string)
 
 	images  []*asm.Image
+	fetched *asm.Image // image of the previous fetch; nil once removed
 	externs map[uint32]externEntry
 
 	inst    uint64 // instructions retired in the current outer Call
@@ -150,6 +152,9 @@ func (c *CPU) RemoveImage(im *asm.Image) {
 	for i, x := range c.images {
 		if x == im {
 			c.images = append(c.images[:i], c.images[i+1:]...)
+			if c.fetched == im {
+				c.fetched = nil
+			}
 			return
 		}
 	}
@@ -227,8 +232,13 @@ func (c *CPU) Call(entry uint32, args ...uint32) (uint32, error) {
 		c.inst = 0
 	}
 	c.depth++
-	defer func() { c.depth-- }()
+	ret, err := c.call(entry, args)
+	c.depth--
+	return ret, err
+}
 
+// call is the body of Call, between the depth bookkeeping.
+func (c *CPU) call(entry uint32, args []uint32) (uint32, error) {
 	savedSP := c.Regs[isa.ESP]
 	for i := len(args) - 1; i >= 0; i-- {
 		if err := c.Push(args[i]); err != nil {
@@ -268,11 +278,22 @@ func (c *CPU) Call(entry uint32, args ...uint32) (uint32, error) {
 // run executes until a RET pops ReturnSentinel.
 func (c *CPU) run(shadowBase int) error {
 	for {
-		im := c.imageAt(c.PC)
-		if im == nil {
-			return &Fault{Kind: FaultBadFetch, PC: c.PC}
+		// Straight-line code stays in one image: search the image list
+		// only when the PC leaves the image of the previous fetch.
+		var in *isa.Inst
+		var target uint32
+		ok := false
+		if c.fetched != nil {
+			in, target, ok = c.fetched.At(c.PC)
 		}
-		in, target, _ := im.At(c.PC)
+		if !ok {
+			im := c.imageAt(c.PC)
+			if im == nil {
+				return &Fault{Kind: FaultBadFetch, PC: c.PC}
+			}
+			c.fetched = im
+			in, target, _ = im.At(c.PC)
+		}
 		c.Meter.IFetch(c.PC)
 		c.inst++
 		c.Retired++

@@ -614,3 +614,76 @@ func TestUndefinedMnemonicMessage(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// A zero-kind fault used to print an empty name ("cpu:  at pc=...").
+func TestFaultMessageNamesEveryKind(t *testing.T) {
+	if got := (&Fault{PC: 0x10}).Error(); got != "cpu: no fault at pc=0x00000010" {
+		t.Errorf("zero-kind fault prints %q", got)
+	}
+	for k := FaultNone; k <= FaultStackGuard; k++ {
+		if msg := (&Fault{Kind: k}).Error(); !strings.HasPrefix(msg, "cpu: "+k.String()+" at pc=") || k.String() == "" {
+			t.Errorf("kind %d prints %q", k, msg)
+		}
+	}
+	if FaultKind(200).String() != "no fault" {
+		t.Errorf("unknown kind prints %q", FaultKind(200))
+	}
+}
+
+// The interpreter remembers the image of the previous fetch; that memory
+// must follow the PC into another image and must not outlive RemoveImage.
+func TestFetchFollowsImageChanges(t *testing.T) {
+	c, im := testEnv(t, `
+f:
+	movl	$1, %eax
+	ret
+`)
+	u, err := asm.Assemble(`
+g:
+	movl	$2, %eax
+	ret
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im2, err := asm.Layout("second", u, 0x180000, 0x210000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddImage(im2)
+	f, _ := im.FuncEntry("f")
+	g, _ := im2.FuncEntry("g")
+	for _, step := range []struct{ entry, want uint32 }{{f, 1}, {g, 2}, {f, 1}} {
+		if v, err := c.Call(step.entry); err != nil || v != step.want {
+			t.Fatalf("call %#x = %d, %v; want %d", step.entry, v, err, step.want)
+		}
+	}
+	c.RemoveImage(im)
+	if _, err := c.Call(f); !IsFault(err, FaultBadFetch) {
+		t.Errorf("fetch from a removed image: err = %v, want bad fetch", err)
+	}
+	if v, err := c.Call(g); err != nil || v != 2 {
+		t.Errorf("surviving image: %d, %v", v, err)
+	}
+}
+
+// The watchdog budget is per outer Call: a Call that ended in a fault must
+// leave the nesting depth at zero so the next one starts a fresh count.
+func TestBudgetRestartsAfterFault(t *testing.T) {
+	c, im := testEnv(t, `
+spin:
+	jmp	spin
+ok:
+	movl	$7, %eax
+	ret
+`)
+	c.Budget = 100
+	spin, _ := im.FuncEntry("spin")
+	ok, _ := im.FuncEntry("ok")
+	if _, err := c.Call(spin); !IsFault(err, FaultWatchdog) {
+		t.Fatalf("err = %v, want watchdog fault", err)
+	}
+	if v, err := c.Call(ok); err != nil || v != 7 {
+		t.Errorf("call after a faulted call = %d, %v", v, err)
+	}
+}

@@ -17,16 +17,31 @@ import (
 )
 
 // Component labels a cycle bucket. The four buckets match the breakdown in
-// Figures 7 and 8 of the paper.
-type Component string
+// Figures 7 and 8 of the paper. It indexes Meter.buckets directly: the
+// meter is charged once per simulated instruction, so the bucket must be
+// an array slot, not a map entry.
+type Component uint8
 
 // The paper's profile buckets.
 const (
-	CompDom0   Component = "dom0"  // dom0 / native Linux kernel work
-	CompDomU   Component = "domU"  // guest kernel work
-	CompXen    Component = "xen"   // hypervisor work
-	CompDriver Component = "e1000" // network driver execution
+	CompDom0   Component = iota // dom0 / native Linux kernel work
+	CompDomU                    // guest kernel work
+	CompXen                     // hypervisor work
+	CompDriver                  // network driver execution
+
+	numComponents = iota
 )
+
+var componentNames = [numComponents]string{"dom0", "domU", "xen", "e1000"}
+
+// String returns the bucket's name as the paper's figures (and every
+// report, bench file and exporter) print it.
+func (c Component) String() string {
+	if int(c) < len(componentNames) {
+		return componentNames[c]
+	}
+	return fmt.Sprintf("component(%d)", uint8(c))
+}
 
 // Cost parameters of the hardware model. These are microarchitectural
 // constants (a 3 GHz Netburst-era Xeon, per the paper's testbed), not
@@ -47,7 +62,7 @@ const (
 
 // Meter accumulates cycles per component and exposes the hardware model.
 type Meter struct {
-	buckets map[Component]uint64
+	buckets [numComponents]uint64
 	current Component
 	stack   []Component
 
@@ -75,7 +90,7 @@ type Meter struct {
 
 // NewMeter returns a meter with cold hardware state, attributing to Xen.
 func NewMeter() *Meter {
-	m := &Meter{buckets: make(map[Component]uint64), current: CompXen}
+	m := &Meter{current: CompXen}
 	m.FlushHW()
 	return m
 }
@@ -202,11 +217,15 @@ func (m *Meter) Total() uint64 {
 // Get returns the cycles charged to a component.
 func (m *Meter) Get(c Component) uint64 { return m.buckets[c] }
 
-// Breakdown returns a copy of all buckets.
+// Breakdown returns a copy of the charged buckets. A component nothing was
+// charged to is absent, not zero: consumers (the bench files' breakdown key
+// sets, the folded-stack exporter) list exactly the components that ran.
 func (m *Meter) Breakdown() map[Component]uint64 {
-	out := make(map[Component]uint64, len(m.buckets))
-	for k, v := range m.buckets {
-		out[k] = v
+	out := make(map[Component]uint64, numComponents)
+	for c, v := range m.buckets {
+		if v != 0 {
+			out[Component(c)] = v
+		}
 	}
 	return out
 }
@@ -216,7 +235,7 @@ func (m *Meter) Breakdown() map[Component]uint64 {
 // into the lifetime clock, which never goes backward.
 func (m *Meter) Reset() {
 	m.lifetime += m.Total()
-	m.buckets = make(map[Component]uint64)
+	m.buckets = [numComponents]uint64{}
 	m.TLBMisses, m.L1Misses, m.MemAccesses = 0, 0, 0
 }
 
@@ -242,19 +261,12 @@ func (m *Meter) Merge(srcs ...*Meter) {
 	}
 }
 
-// String formats the breakdown, components sorted.
+// String formats the breakdown, components sorted by name.
 func (m *Meter) String() string {
-	keys := make([]string, 0, len(m.buckets))
-	for k := range m.buckets {
-		keys = append(keys, string(k))
+	parts := make([]string, 0, numComponents)
+	for c, v := range m.Breakdown() {
+		parts = append(parts, fmt.Sprintf("%s=%d", c, v))
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%d", k, m.buckets[Component(k)])
-	}
-	return b.String()
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
 }

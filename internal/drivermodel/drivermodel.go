@@ -32,7 +32,8 @@ type Device interface {
 	Inject(pkt []byte) bool
 
 	// SetOnTransmit installs the wire: fn receives every transmitted
-	// packet's bytes.
+	// packet's bytes. The slice is the device's own buffer, valid only
+	// until fn returns; a wire that keeps frames copies them.
 	SetOnTransmit(fn func(pkt []byte))
 
 	// HWAddr returns the device's current station address.

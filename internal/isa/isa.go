@@ -420,8 +420,10 @@ func (o Operand) format() string {
 	return "<none>"
 }
 
-// EffScale returns the effective scale factor (0 normalised to 1).
-func (o Operand) EffScale() uint8 {
+// EffScale returns the effective scale factor (0 normalised to 1). Pointer
+// receiver, like EffSize: the interpreter calls both once per instruction
+// and a value receiver copies the operand (the whole Inst, for EffSize).
+func (o *Operand) EffScale() uint8 {
 	if o.Scale == 0 {
 		return 1
 	}
@@ -451,7 +453,7 @@ type Inst struct {
 }
 
 // EffSize returns the operand size, normalising 0 to 4.
-func (i Inst) EffSize() uint32 {
+func (i *Inst) EffSize() uint32 {
 	if i.Size == 0 {
 		return 4
 	}

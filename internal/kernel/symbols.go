@@ -5,6 +5,7 @@ import (
 
 	"twindrivers/internal/cost"
 	"twindrivers/internal/cpu"
+	"twindrivers/internal/cycles"
 	"twindrivers/internal/mem"
 	"twindrivers/internal/xen"
 )
@@ -158,7 +159,7 @@ func (k *Kernel) registerSymbols() {
 	})
 	k.bind("memcpy_kernel", cost.MiscSupport, func(c *cpu.CPU) (uint32, error) {
 		dst, src, n := arg(c, 0), arg(c, 1), arg(c, 2)
-		c.Meter.AddTo("dom0", uint64(n))
+		c.Meter.AddTo(cycles.CompDom0, uint64(n))
 		return dst, mem.Copy(k.Dom.AS, dst, k.Dom.AS, src, int(n))
 	})
 

@@ -40,39 +40,37 @@ type MMIO interface {
 // Physical is the machine's physical memory: a frame pool plus MMIO
 // routing.
 type Physical struct {
-	frames    map[uint32]*[PageSize]byte // frame number -> storage
-	owners    map[uint32]Owner
-	mmio      map[uint32]mmioEntry // frame number -> device
-	nextFrame uint32
+	// frames is indexed by frame number. Frames are handed out by a bump
+	// counter and never freed, so the table is dense and its length is the
+	// next frame number. Entry 0 is a placeholder that is never allocated,
+	// so a zero PTE is never valid.
+	frames []frameEntry
 }
 
-type mmioEntry struct {
-	dev  MMIO
-	base uint32 // first frame of the device's region
+// frameEntry is everything known about one physical frame. A RAM frame has
+// data, a device frame has dev (and base, the first frame of the device's
+// region); the placeholder at index 0 has neither.
+type frameEntry struct {
+	data  *[PageSize]byte
+	dev   MMIO
+	base  uint32
+	owner Owner
 }
 
 // NewPhysical returns an empty physical memory.
 func NewPhysical() *Physical {
-	return &Physical{
-		frames:    make(map[uint32]*[PageSize]byte),
-		owners:    make(map[uint32]Owner),
-		mmio:      make(map[uint32]mmioEntry),
-		nextFrame: 1, // frame 0 stays unused so a zero PTE is never valid
-	}
+	return &Physical{frames: []frameEntry{{owner: OwnerNone}}}
 }
 
 // AllocFrame allocates a fresh zeroed frame owned by owner.
 func (p *Physical) AllocFrame(owner Owner) uint32 {
-	f := p.nextFrame
-	p.nextFrame++
-	p.frames[f] = new([PageSize]byte)
-	p.owners[f] = owner
-	return f
+	p.frames = append(p.frames, frameEntry{data: new([PageSize]byte), owner: owner})
+	return uint32(len(p.frames) - 1)
 }
 
 // AllocFrames allocates n physically contiguous frames.
 func (p *Physical) AllocFrames(owner Owner, n int) uint32 {
-	first := p.nextFrame
+	first := uint32(len(p.frames))
 	for i := 0; i < n; i++ {
 		p.AllocFrame(owner)
 	}
@@ -82,48 +80,48 @@ func (p *Physical) AllocFrames(owner Owner, n int) uint32 {
 // ClaimMMIO reserves n contiguous frames for a device and routes accesses
 // to it. Returns the first frame number.
 func (p *Physical) ClaimMMIO(owner Owner, n int, dev MMIO) uint32 {
-	first := p.nextFrame
+	first := uint32(len(p.frames))
 	for i := 0; i < n; i++ {
-		f := p.nextFrame
-		p.nextFrame++
-		p.owners[f] = owner
-		p.mmio[f] = mmioEntry{dev: dev, base: first}
+		p.frames = append(p.frames, frameEntry{dev: dev, base: first, owner: owner})
 	}
 	return first
 }
 
-// FrameOwner returns the owner of a frame, or OwnerNone if unallocated.
-func (p *Physical) FrameOwner(f uint32) Owner {
-	if o, ok := p.owners[f]; ok {
-		return o
+// entry returns the table entry of frame f. A frame that was never
+// allocated reads as the placeholder at index 0: no owner, no RAM, no
+// device.
+func (p *Physical) entry(f uint32) *frameEntry {
+	if f < uint32(len(p.frames)) {
+		return &p.frames[f]
 	}
-	return OwnerNone
+	return &p.frames[0]
 }
+
+// FrameOwner returns the owner of a frame, or OwnerNone if unallocated.
+func (p *Physical) FrameOwner(f uint32) Owner { return p.entry(f).owner }
 
 // SetFrameOwner transfers frame ownership (grant-table style page transfer).
 func (p *Physical) SetFrameOwner(f uint32, o Owner) {
-	if _, ok := p.owners[f]; ok {
-		p.owners[f] = o
+	if e := p.entry(f); e != &p.frames[0] {
+		e.owner = o
 	}
 }
 
 // IsMMIO reports whether a frame is device-mapped.
-func (p *Physical) IsMMIO(f uint32) bool {
-	_, ok := p.mmio[f]
-	return ok
-}
+func (p *Physical) IsMMIO(f uint32) bool { return p.entry(f).dev != nil }
 
 // FrameData returns the RAM storage of a frame (nil for MMIO/unallocated).
-func (p *Physical) FrameData(f uint32) *[PageSize]byte { return p.frames[f] }
+func (p *Physical) FrameData(f uint32) *[PageSize]byte { return p.entry(f).data }
 
 // readPhys reads size (1/2/4) bytes at physical address pa. The access must
 // not cross a frame boundary.
 func (p *Physical) readPhys(pa uint32, size uint32) (uint32, error) {
 	f, off := pa/PageSize, pa&PageMask
-	if e, ok := p.mmio[f]; ok {
+	e := p.entry(f)
+	if e.dev != nil {
 		return e.dev.MMIORead((f-e.base)*PageSize+off, size), nil
 	}
-	fr := p.frames[f]
+	fr := e.data
 	if fr == nil {
 		return 0, fmt.Errorf("mem: physical read of unallocated frame %#x", f)
 	}
@@ -136,11 +134,12 @@ func (p *Physical) readPhys(pa uint32, size uint32) (uint32, error) {
 
 func (p *Physical) writePhys(pa uint32, size uint32, val uint32) error {
 	f, off := pa/PageSize, pa&PageMask
-	if e, ok := p.mmio[f]; ok {
+	e := p.entry(f)
+	if e.dev != nil {
 		e.dev.MMIOWrite((f-e.base)*PageSize+off, size, val)
 		return nil
 	}
-	fr := p.frames[f]
+	fr := e.data
 	if fr == nil {
 		return fmt.Errorf("mem: physical write of unallocated frame %#x", f)
 	}
@@ -173,17 +172,60 @@ type AddressSpace struct {
 	Phys   *Physical
 	Global *AddressSpace // nil for the hypervisor space itself
 
-	pt map[uint32]uint32 // vpage -> frame
+	// dir is a two-level page table: the top ptBits of a virtual page
+	// number pick a leaf, the low ptBits a frame in it, and 0 means
+	// unmapped (frame 0 is never allocated). It grows to the highest leaf
+	// mapped so far, so a guest whose heap sits low in the address space
+	// does not carry a full directory.
+	dir    []*pageTable
+	mapped int // non-zero entries over all leaves
 }
+
+const (
+	ptBits = 10
+	ptFan  = 1 << ptBits
+	ptMask = ptFan - 1
+)
+
+type pageTable [ptFan]uint32
 
 // NewAddressSpace returns an empty address space over phys.
 func NewAddressSpace(name string, phys *Physical, global *AddressSpace) *AddressSpace {
-	return &AddressSpace{Name: name, Phys: phys, Global: global, pt: make(map[uint32]uint32)}
+	return &AddressSpace{Name: name, Phys: phys, Global: global}
 }
 
-// Map installs vpage -> frame.
+// leaf returns the second-level table covering vpage, nil if none exists.
+func (as *AddressSpace) leaf(vpage uint32) *pageTable {
+	if hi := vpage >> ptBits; hi < uint32(len(as.dir)) {
+		return as.dir[hi]
+	}
+	return nil
+}
+
+// Map installs vpage -> frame. Frame 0 is the invalid frame, so mapping it
+// removes the mapping. A vpage beyond the 32-bit address space is ignored:
+// no access can reach it.
 func (as *AddressSpace) Map(vpage, frame uint32) {
-	as.pt[vpage] = frame
+	t := as.leaf(vpage)
+	if t == nil {
+		hi := vpage >> ptBits
+		if frame == 0 || hi >= ptFan {
+			return
+		}
+		if n := int(hi) + 1 - len(as.dir); n > 0 {
+			as.dir = append(as.dir, make([]*pageTable, n)...)
+		}
+		t = new(pageTable)
+		as.dir[hi] = t
+	}
+	slot := &t[vpage&ptMask]
+	switch {
+	case *slot == 0 && frame != 0:
+		as.mapped++
+	case *slot != 0 && frame == 0:
+		as.mapped--
+	}
+	*slot = frame
 }
 
 // MapRange maps n consecutive pages starting at vaddr to consecutive frames
@@ -196,13 +238,11 @@ func (as *AddressSpace) MapRange(vaddr, frame uint32, n int) {
 }
 
 // Unmap removes a mapping.
-func (as *AddressSpace) Unmap(vpage uint32) {
-	delete(as.pt, vpage)
-}
+func (as *AddressSpace) Unmap(vpage uint32) { as.Map(vpage, 0) }
 
 // Lookup translates a virtual page to a frame, consulting the global space.
 func (as *AddressSpace) Lookup(vpage uint32) (uint32, bool) {
-	if f, ok := as.pt[vpage]; ok {
+	if f, ok := as.LookupLocal(vpage); ok {
 		return f, true
 	}
 	if as.Global != nil {
@@ -213,8 +253,11 @@ func (as *AddressSpace) Lookup(vpage uint32) (uint32, bool) {
 
 // LookupLocal translates only through the local table (no global chaining).
 func (as *AddressSpace) LookupLocal(vpage uint32) (uint32, bool) {
-	f, ok := as.pt[vpage]
-	return f, ok
+	if t := as.leaf(vpage); t != nil {
+		f := t[vpage&ptMask]
+		return f, f != 0
+	}
+	return 0, false
 }
 
 // Translate converts a virtual address to a physical address.
@@ -268,22 +311,61 @@ func (as *AddressSpace) Store(vaddr uint32, size uint32, val uint32) error {
 // ReadBytes copies n bytes starting at vaddr into a fresh slice.
 func (as *AddressSpace) ReadBytes(vaddr uint32, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b, err := as.Load(vaddr+uint32(i), 1)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = byte(b)
+	if err := as.ReadInto(vaddr, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// WriteBytes copies b into memory at vaddr.
-func (as *AddressSpace) WriteBytes(vaddr uint32, b []byte) error {
-	for i, x := range b {
-		if err := as.Store(vaddr+uint32(i), 1, uint32(x)); err != nil {
-			return err
+// ReadInto fills dst with the len(dst) bytes starting at vaddr.
+func (as *AddressSpace) ReadInto(vaddr uint32, dst []byte) error {
+	for len(dst) > 0 {
+		off := vaddr & PageMask
+		chunk := min(PageSize-int(off), len(dst))
+		f, ok := as.Lookup(vaddr / PageSize)
+		if !ok {
+			return &PageFault{Space: as.Name, Addr: vaddr}
 		}
+		if fd := as.Phys.FrameData(f); fd != nil {
+			copy(dst[:chunk], fd[off:])
+		} else {
+			// MMIO or unallocated: one access per byte.
+			for i := range dst[:chunk] {
+				b, err := as.Load(vaddr+uint32(i), 1)
+				if err != nil {
+					return err
+				}
+				dst[i] = byte(b)
+			}
+		}
+		vaddr += uint32(chunk)
+		dst = dst[chunk:]
+	}
+	return nil
+}
+
+// WriteBytes copies b into memory at vaddr. A write that runs off the
+// mapped pages has written every byte before the first unmapped page.
+func (as *AddressSpace) WriteBytes(vaddr uint32, b []byte) error {
+	for len(b) > 0 {
+		off := vaddr & PageMask
+		chunk := min(PageSize-int(off), len(b))
+		f, ok := as.Lookup(vaddr / PageSize)
+		if !ok {
+			return &PageFault{Space: as.Name, Addr: vaddr, Write: true}
+		}
+		if fd := as.Phys.FrameData(f); fd != nil {
+			copy(fd[off:], b[:chunk])
+		} else {
+			// MMIO or unallocated: one access per byte.
+			for i, x := range b[:chunk] {
+				if err := as.Store(vaddr+uint32(i), 1, uint32(x)); err != nil {
+					return err
+				}
+			}
+		}
+		vaddr += uint32(chunk)
+		b = b[chunk:]
 	}
 	return nil
 }
@@ -292,26 +374,20 @@ func (as *AddressSpace) WriteBytes(vaddr uint32, b []byte) error {
 // this shape when moving packet payloads between guest buffers and dom0
 // sk_buffs.
 func Copy(dstAS *AddressSpace, dst uint32, srcAS *AddressSpace, src uint32, n int) error {
-	// Page-chunked copy through physical frames for efficiency.
 	for n > 0 {
-		chunk := PageSize - int(src&PageMask)
-		if c := PageSize - int(dst&PageMask); c < chunk {
-			chunk = c
-		}
-		if chunk > n {
-			chunk = n
-		}
-		spa, ok := srcAS.Translate(src)
+		soff, doff := src&PageMask, dst&PageMask
+		chunk := min(PageSize-int(soff), PageSize-int(doff), n)
+		sfn, ok := srcAS.Lookup(src / PageSize)
 		if !ok {
 			return &PageFault{Space: srcAS.Name, Addr: src}
 		}
-		dpa, ok := dstAS.Translate(dst)
+		dfn, ok := dstAS.Lookup(dst / PageSize)
 		if !ok {
 			return &PageFault{Space: dstAS.Name, Addr: dst, Write: true}
 		}
-		sf, df := srcAS.Phys.FrameData(spa/PageSize), dstAS.Phys.FrameData(dpa/PageSize)
+		sf, df := srcAS.Phys.FrameData(sfn), dstAS.Phys.FrameData(dfn)
 		if sf == nil || df == nil {
-			// MMIO or unallocated: fall back to byte loop.
+			// MMIO or unallocated: one access per byte.
 			for i := 0; i < chunk; i++ {
 				v, err := srcAS.Load(src+uint32(i), 1)
 				if err != nil {
@@ -322,7 +398,7 @@ func Copy(dstAS *AddressSpace, dst uint32, srcAS *AddressSpace, src uint32, n in
 				}
 			}
 		} else {
-			copy(df[dpa&PageMask:uint32(dpa&PageMask)+uint32(chunk)], sf[spa&PageMask:uint32(spa&PageMask)+uint32(chunk)])
+			copy(df[doff:], sf[soff:soff+uint32(chunk)])
 		}
 		src += uint32(chunk)
 		dst += uint32(chunk)
@@ -332,4 +408,4 @@ func Copy(dstAS *AddressSpace, dst uint32, srcAS *AddressSpace, src uint32, n in
 }
 
 // MappedPages returns the number of locally mapped pages.
-func (as *AddressSpace) MappedPages() int { return len(as.pt) }
+func (as *AddressSpace) MappedPages() int { return as.mapped }

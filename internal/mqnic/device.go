@@ -137,7 +137,9 @@ type MQNIC struct {
 	// IRQ is invoked when the interrupt line asserts (cause & mask != 0).
 	IRQ func()
 
-	// OnTransmit receives every transmitted packet (the wire).
+	// OnTransmit receives every transmitted packet (the wire). pkt is the
+	// device's gather buffer: it is valid only for the duration of the
+	// call, so a consumer that keeps the frame must copy it.
 	OnTransmit func(pkt []byte)
 
 	ctrl, status uint32
@@ -152,6 +154,8 @@ type MQNIC struct {
 	// (the QueueCounters surface steering tests observe).
 	gptc, gprc, mpc uint32
 	qtx             [NumQueues]uint64
+
+	txbuf []byte // the frame processTx is gathering; reused across frames
 }
 
 // New creates an MQNIC over physical memory with the given MAC address.
@@ -242,7 +246,7 @@ func (n *MQNIC) MMIOWrite(off uint32, size uint32, val uint32) {
 
 func (n *MQNIC) reset() {
 	*n = MQNIC{Name: n.Name, Phys: n.Phys, MAC: n.MAC, IRQ: n.IRQ,
-		OnTransmit: n.OnTransmit, status: StatusLU}
+		OnTransmit: n.OnTransmit, status: StatusLU, txbuf: n.txbuf}
 }
 
 func (n *MQNIC) maybeInterrupt() {
@@ -257,20 +261,19 @@ func (n *MQNIC) raise(cause uint32) {
 	n.maybeInterrupt()
 }
 
-// dmaRead copies ln bytes from physical memory (buffers may cross frames).
-func (n *MQNIC) dmaRead(pa uint32, ln int) ([]byte, error) {
-	out := make([]byte, ln)
-	for i := 0; i < ln; {
+// dmaRead fills out from physical memory (buffers may cross frames).
+func (n *MQNIC) dmaRead(pa uint32, out []byte) error {
+	for i := 0; i < len(out); {
 		f := (pa + uint32(i)) / mem.PageSize
 		off := (pa + uint32(i)) & mem.PageMask
 		fd := n.Phys.FrameData(f)
 		if fd == nil {
-			return nil, errUnbacked(n.Name, f)
+			return errUnbacked(n.Name, f)
 		}
 		c := copy(out[i:], fd[off:])
 		i += c
 	}
-	return out, nil
+	return nil
 }
 
 func (n *MQNIC) dmaWrite(pa uint32, data []byte) error {
@@ -287,8 +290,8 @@ func (n *MQNIC) dmaWrite(pa uint32, data []byte) error {
 	return nil
 }
 
-func (n *MQNIC) readDesc(base, idx uint32) ([]byte, error) {
-	return n.dmaRead(base+idx*DescSize, DescSize)
+func (n *MQNIC) readDesc(base, idx uint32, d []byte) error {
+	return n.dmaRead(base+idx*DescSize, d)
 }
 
 func (n *MQNIC) writeDesc(base, idx uint32, d []byte) error {
@@ -311,28 +314,29 @@ func (n *MQNIC) processTx(q int) {
 		return
 	}
 	count := tq.qlen / DescSize
-	var pkt []byte
+	n.txbuf = n.txbuf[:0]
 	raised := false
 	for tq.head != tq.tail {
-		d, err := n.readDesc(tq.bal, tq.head)
-		if err != nil {
+		var desc [DescSize]byte
+		d := desc[:]
+		if err := n.readDesc(tq.bal, tq.head, d); err != nil {
 			return // DMA of unbacked memory: packet lost, ring stalls
 		}
 		bufAddr := le32(d[0:4])
 		ln := int(le16(d[8:10]))
 		cmd := d[11]
-		data, err := n.dmaRead(bufAddr, ln)
-		if err != nil {
+		have := len(n.txbuf)
+		n.txbuf = append(n.txbuf, make([]byte, ln)...)
+		if err := n.dmaRead(bufAddr, n.txbuf[have:]); err != nil {
 			return
 		}
-		pkt = append(pkt, data...)
 		if cmd&TxCmdEOP != 0 {
 			n.gptc++
 			n.qtx[q]++
 			if n.OnTransmit != nil {
-				n.OnTransmit(pkt)
+				n.OnTransmit(n.txbuf)
 			}
-			pkt = nil
+			n.txbuf = n.txbuf[:0]
 		}
 		// Write back DD.
 		d[12] |= DescDD
@@ -382,8 +386,9 @@ func (n *MQNIC) Inject(pkt []byte) bool {
 		n.mpc++
 		return false
 	}
-	d, err := n.readDesc(rq.bal, rq.head)
-	if err != nil {
+	var desc [DescSize]byte
+	d := desc[:]
+	if err := n.readDesc(rq.bal, rq.head, d); err != nil {
 		n.mpc++
 		return false
 	}

@@ -98,7 +98,9 @@ type NIC struct {
 	// IRQ is invoked when the interrupt line asserts (cause & mask != 0).
 	IRQ func()
 
-	// OnTransmit receives every transmitted packet (the wire).
+	// OnTransmit receives every transmitted packet (the wire). pkt is the
+	// device's gather buffer: it is valid only for the duration of the
+	// call, so a consumer that keeps the frame must copy it.
 	OnTransmit func(pkt []byte)
 
 	// IOMMU, when non-nil, vets every DMA access.
@@ -119,6 +121,8 @@ type NIC struct {
 
 	// DMAViolation records the first blocked DMA for diagnostics.
 	DMAViolation string
+
+	txbuf []byte // the frame processTx is gathering; reused across frames
 }
 
 // New creates a NIC over physical memory with the given MAC address.
@@ -229,7 +233,7 @@ func (n *NIC) MMIOWrite(off uint32, size uint32, val uint32) {
 
 func (n *NIC) reset() {
 	*n = NIC{Name: n.Name, Phys: n.Phys, MAC: n.MAC, IRQ: n.IRQ,
-		OnTransmit: n.OnTransmit, IOMMU: n.IOMMU, status: StatusLU}
+		OnTransmit: n.OnTransmit, IOMMU: n.IOMMU, status: StatusLU, txbuf: n.txbuf}
 }
 
 func (n *NIC) maybeInterrupt() {
@@ -244,25 +248,24 @@ func (n *NIC) raise(cause uint32) {
 	n.maybeInterrupt()
 }
 
-// dmaRead copies len bytes from physical memory (descriptor buffers may
-// cross frame boundaries).
-func (n *NIC) dmaRead(pa uint32, ln int) ([]byte, error) {
-	out := make([]byte, ln)
-	for i := 0; i < ln; {
+// dmaRead fills out from physical memory (descriptor buffers may cross
+// frame boundaries).
+func (n *NIC) dmaRead(pa uint32, out []byte) error {
+	for i := 0; i < len(out); {
 		f := (pa + uint32(i)) / mem.PageSize
 		off := (pa + uint32(i)) & mem.PageMask
 		if n.IOMMU != nil && !n.IOMMU.Check(n.Phys, f) {
 			n.DMAViolation = fmt.Sprintf("%s: blocked DMA read of frame %#x (owner %d)", n.Name, f, n.Phys.FrameOwner(f))
-			return nil, fmt.Errorf("nic: %s", n.DMAViolation)
+			return fmt.Errorf("nic: %s", n.DMAViolation)
 		}
 		fd := n.Phys.FrameData(f)
 		if fd == nil {
-			return nil, fmt.Errorf("nic: %s: DMA read of unbacked frame %#x", n.Name, f)
+			return fmt.Errorf("nic: %s: DMA read of unbacked frame %#x", n.Name, f)
 		}
 		c := copy(out[i:], fd[off:])
 		i += c
 	}
-	return out, nil
+	return nil
 }
 
 func (n *NIC) dmaWrite(pa uint32, data []byte) error {
@@ -283,8 +286,8 @@ func (n *NIC) dmaWrite(pa uint32, data []byte) error {
 	return nil
 }
 
-func (n *NIC) readDesc(base uint32, idx uint32) ([]byte, error) {
-	return n.dmaRead(base+idx*DescSize, DescSize)
+func (n *NIC) readDesc(base uint32, idx uint32, d []byte) error {
+	return n.dmaRead(base+idx*DescSize, d)
 }
 
 func (n *NIC) writeDesc(base uint32, idx uint32, d []byte) error {
@@ -306,28 +309,29 @@ func (n *NIC) processTx() {
 		return
 	}
 	count := n.tdlen / DescSize
-	var pkt []byte
+	n.txbuf = n.txbuf[:0]
 	raised := false
 	for n.tdh != n.tdt {
-		d, err := n.readDesc(n.tdbal, n.tdh)
-		if err != nil {
+		var desc [DescSize]byte
+		d := desc[:]
+		if err := n.readDesc(n.tdbal, n.tdh, d); err != nil {
 			return // DMA blocked: packet lost, ring stalls
 		}
 		bufAddr := le32(d[0:4])
 		ln := int(le16(d[8:10]))
 		cmd := d[11]
-		data, err := n.dmaRead(bufAddr, ln)
-		if err != nil {
+		have := len(n.txbuf)
+		n.txbuf = append(n.txbuf, make([]byte, ln)...)
+		if err := n.dmaRead(bufAddr, n.txbuf[have:]); err != nil {
 			return
 		}
-		pkt = append(pkt, data...)
 		if cmd&TxCmdEOP != 0 {
 			n.gptc++
-			n.gotc += uint64(len(pkt))
+			n.gotc += uint64(len(n.txbuf))
 			if n.OnTransmit != nil {
-				n.OnTransmit(pkt)
+				n.OnTransmit(n.txbuf)
 			}
-			pkt = nil
+			n.txbuf = n.txbuf[:0]
 		}
 		// Write back DD.
 		d[12] |= DescDD
@@ -360,8 +364,9 @@ func (n *NIC) Inject(pkt []byte) bool {
 		return false
 	}
 	_ = next
-	d, err := n.readDesc(n.rdbal, n.rdh)
-	if err != nil {
+	var desc [DescSize]byte
+	d := desc[:]
+	if err := n.readDesc(n.rdbal, n.rdh, d); err != nil {
 		n.mpc++
 		return false
 	}

@@ -62,7 +62,7 @@ func (b *Bench) AddBreakdown(config string, cyclesPerPacket float64, breakdown m
 	if len(breakdown) > 0 {
 		e.Breakdown = make(map[string]float64, len(breakdown))
 		for comp, v := range breakdown {
-			e.Breakdown[string(comp)] = v
+			e.Breakdown[comp.String()] = v
 		}
 	}
 	b.Entries = append(b.Entries, e)

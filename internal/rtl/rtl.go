@@ -98,7 +98,9 @@ type RTL8139 struct {
 	// IRQ is invoked when the interrupt line asserts (isr & imr != 0).
 	IRQ func()
 
-	// OnTransmit receives every transmitted packet (the wire).
+	// OnTransmit receives every transmitted packet (the wire). pkt is the
+	// device's staging buffer: it is valid only for the duration of the
+	// call, so a consumer that keeps the frame must copy it.
 	OnTransmit func(pkt []byte)
 
 	cmd      uint32
@@ -115,6 +117,8 @@ type RTL8139 struct {
 	// Statistics registers.
 	txcnt, rxcnt, mpc uint32
 	linkDown          bool
+
+	txbuf []byte // the frame fireTx is sending; reused across frames
 }
 
 // New creates a controller over physical memory with the given MAC.
@@ -205,7 +209,7 @@ func (r *RTL8139) MMIOWrite(off uint32, size uint32, val uint32) {
 
 func (r *RTL8139) reset() {
 	*r = RTL8139{Name: r.Name, Phys: r.Phys, MAC: r.MAC, IRQ: r.IRQ,
-		OnTransmit: r.OnTransmit, linkDown: r.linkDown}
+		OnTransmit: r.OnTransmit, linkDown: r.linkDown, txbuf: r.txbuf}
 }
 
 func (r *RTL8139) maybeInterrupt() {
@@ -219,20 +223,19 @@ func (r *RTL8139) raise(cause uint32) {
 	r.maybeInterrupt()
 }
 
-// dmaRead copies ln bytes from physical memory.
-func (r *RTL8139) dmaRead(pa uint32, ln int) ([]byte, error) {
-	out := make([]byte, ln)
-	for i := 0; i < ln; {
+// dmaRead fills out from physical memory.
+func (r *RTL8139) dmaRead(pa uint32, out []byte) error {
+	for i := 0; i < len(out); {
 		f := (pa + uint32(i)) / mem.PageSize
 		off := (pa + uint32(i)) & mem.PageMask
 		fd := r.Phys.FrameData(f)
 		if fd == nil {
-			return nil, fmt.Errorf("rtl: %s: DMA read of unbacked frame %#x", r.Name, f)
+			return fmt.Errorf("rtl: %s: DMA read of unbacked frame %#x", r.Name, f)
 		}
 		c := copy(out[i:], fd[off:])
 		i += c
 	}
-	return out, nil
+	return nil
 }
 
 func (r *RTL8139) dmaWrite(pa uint32, data []byte) error {
@@ -274,12 +277,12 @@ func (r *RTL8139) fireTx(slot uint32) {
 		return
 	}
 	ln := int(r.tsd[slot] & TsdSizeMask)
-	data, err := r.dmaRead(r.tsad[slot], ln)
-	if err != nil {
+	r.txbuf = append(r.txbuf[:0], make([]byte, ln)...)
+	if err := r.dmaRead(r.tsad[slot], r.txbuf); err != nil {
 		return // DMA blocked: the slot never completes
 	}
 	if r.OnTransmit != nil {
-		r.OnTransmit(data)
+		r.OnTransmit(r.txbuf)
 	}
 	r.txcnt++
 	r.tsd[slot] |= TsdOwn | TsdTok

@@ -35,7 +35,7 @@ func (f *FoldedStacks) AddBreakdown(prefix string, bk map[cycles.Component]uint6
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for comp, cyc := range bk {
-		f.counts[prefix+";"+string(comp)] += cyc
+		f.counts[prefix+";"+comp.String()] += cyc
 	}
 }
 
