@@ -130,7 +130,8 @@ type CPU struct {
 	OnExternCall func(name string)
 
 	images  []*asm.Image
-	fetched *asm.Image // image of the previous fetch; nil once removed
+	progs   []*program // progs[i] is images[i], lowered
+	cur     *program   // program of the previous fetch; noProgram once removed
 	externs map[uint32]externEntry
 
 	inst    uint64 // instructions retired in the current outer Call
@@ -141,19 +142,26 @@ type CPU struct {
 
 // New returns a CPU bound to an address space and meter.
 func New(as *mem.AddressSpace, m *cycles.Meter) *CPU {
-	return &CPU{AS: as, Meter: m, externs: make(map[uint32]externEntry)}
+	return &CPU{AS: as, Meter: m, cur: noProgram, externs: make(map[uint32]externEntry)}
 }
 
-// AddImage makes an image's code executable.
-func (c *CPU) AddImage(im *asm.Image) { c.images = append(c.images, im) }
+// AddImage makes an image's code executable: it is lowered here, once, into
+// the form run executes.
+func (c *CPU) AddImage(im *asm.Image) {
+	c.images = append(c.images, im)
+	c.progs = append(c.progs, lower(im))
+}
 
-// RemoveImage unloads an image (driver teardown after a fault).
+// RemoveImage unloads an image (driver teardown after a fault) and drops
+// its lowered form. It may be called from an extern while the image is
+// running; the next fetch from it is then a bad fetch.
 func (c *CPU) RemoveImage(im *asm.Image) {
 	for i, x := range c.images {
 		if x == im {
 			c.images = append(c.images[:i], c.images[i+1:]...)
-			if c.fetched == im {
-				c.fetched = nil
+			c.progs = append(c.progs[:i], c.progs[i+1:]...)
+			if c.cur.im == im {
+				c.cur = noProgram
 			}
 			return
 		}
@@ -174,11 +182,11 @@ func (c *CPU) ExternAt(addr uint32) (string, bool) {
 	return e.name, ok
 }
 
-// imageAt finds the image containing addr.
-func (c *CPU) imageAt(addr uint32) *asm.Image {
-	for _, im := range c.images {
-		if im.Contains(addr) {
-			return im
+// programAt finds the lowered image containing the instruction address addr.
+func (c *CPU) programAt(addr uint32) *program {
+	for _, p := range c.progs {
+		if p.im.Contains(addr) {
+			return p
 		}
 	}
 	return nil
@@ -276,92 +284,161 @@ func (c *CPU) call(entry uint32, args []uint32) (uint32, error) {
 }
 
 // run executes until a RET pops ReturnSentinel.
+//
+// Per instruction, in this order: find the lowered record for c.PC, charge
+// the fetch, count the instruction, test the watchdog, charge the issue
+// cycle, execute. The current program is remembered in c.cur, not in a
+// local: an extern or hypercall may Call into another image or remove the
+// running one, and either shows in c.cur by the time the next instruction
+// is fetched. c.AS and c.Meter are re-read per instruction for the same
+// reason (a hypercall switches address spaces, a queue sweep swaps meters).
 func (c *CPU) run(shadowBase int) error {
 	for {
 		// Straight-line code stays in one image: search the image list
 		// only when the PC leaves the image of the previous fetch.
-		var in *isa.Inst
-		var target uint32
-		ok := false
-		if c.fetched != nil {
-			in, target, ok = c.fetched.At(c.PC)
-		}
-		if !ok {
-			im := c.imageAt(c.PC)
-			if im == nil {
+		p := c.cur
+		off := c.PC - p.base
+		if off/asm.InstSlot >= uint32(len(p.code)) || off%asm.InstSlot != 0 {
+			if p = c.programAt(c.PC); p == nil {
 				return &Fault{Kind: FaultBadFetch, PC: c.PC}
 			}
-			c.fetched = im
-			in, target, _ = im.At(c.PC)
+			c.cur = p
+			off = c.PC - p.base
 		}
-		c.Meter.IFetch(c.PC)
+		in := &p.code[off/asm.InstSlot]
+		m := c.Meter
+		m.IFetch(c.PC)
 		c.inst++
 		c.Retired++
 		if c.Budget != 0 && c.inst > c.Budget {
 			return &Fault{Kind: FaultWatchdog, PC: c.PC, Msg: "instruction budget exhausted"}
 		}
-		done, err := c.step(in, target, shadowBase)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
+		m.Add(1) // base issue cost
+		next := c.PC + asm.InstSlot
 
-// EA computes the effective address of a memory operand.
-func (c *CPU) EA(o *isa.Operand) uint32 {
-	a := uint32(o.Disp)
-	if o.Base != isa.RegNone {
-		a += c.Regs[o.Base]
-	}
-	if o.Index != isa.RegNone {
-		a += c.Regs[o.Index] * uint32(o.EffScale())
-	}
-	return a
-}
+		// The shape handlers. lower chose each from the instruction's own
+		// operands, so the register numbers are in range and the operand
+		// kinds are the ones the body reads; all operate on 32 bits.
+		switch in.h {
+		case hMovRR:
+			c.Regs[in.dst.reg] = c.Regs[in.src.reg]
 
-// loadOperand reads an operand's value (masked to size).
-func (c *CPU) loadOperand(o *isa.Operand, size uint32) (uint32, error) {
-	switch o.Kind {
-	case isa.KindImm:
-		return uint32(o.Imm) & sizeMask(size), nil
-	case isa.KindReg:
-		return c.Regs[o.Reg] & sizeMask(size), nil
-	case isa.KindMem:
-		a := c.EA(o)
-		c.Meter.MemAccess(a)
-		v, err := c.AS.Load(a, size)
-		if err != nil {
-			return 0, c.pageFault(err, a)
-		}
-		return v, nil
-	}
-	return 0, &Fault{Kind: FaultInvalidOp, PC: c.PC, Msg: "empty operand"}
-}
+		case hMovMR:
+			a := uint32(in.src.val) + c.Regs[in.src.reg]
+			m.MemAccess(a)
+			v, err := c.AS.Load(a, 4)
+			if err != nil {
+				return c.pageFault(err, a)
+			}
+			c.Regs[in.dst.reg] = v
 
-// storeOperand writes val (masked to size) to a register or memory operand.
-// Sub-word register writes preserve the upper bits, as on x86.
-func (c *CPU) storeOperand(o *isa.Operand, size uint32, val uint32) error {
-	switch o.Kind {
-	case isa.KindReg:
-		if size == 4 {
-			c.Regs[o.Reg] = val
-		} else {
-			m := sizeMask(size)
-			c.Regs[o.Reg] = (c.Regs[o.Reg] &^ m) | (val & m)
+		case hLeaMR:
+			c.Regs[in.dst.reg] = uint32(in.src.val) + c.Regs[in.src.reg]
+
+		case hLeaXR:
+			c.Regs[in.dst.reg] = uint32(in.src.val) + c.Regs[in.src.reg] +
+				c.Regs[in.src.index]*uint32(in.src.scale)
+
+		case hMovRM:
+			a := uint32(in.dst.val) + c.Regs[in.dst.reg]
+			m.MemAccess(a)
+			if err := c.AS.Store(a, 4, c.Regs[in.src.reg]); err != nil {
+				return c.pageFault(err, a)
+			}
+
+		case hAddRR:
+			c.Regs[in.dst.reg] = c.add32(c.Regs[in.dst.reg], c.Regs[in.src.reg])
+
+		case hAddIR:
+			c.Regs[in.dst.reg] = c.add32(c.Regs[in.dst.reg], uint32(in.src.val))
+
+		case hSubRR:
+			c.Regs[in.dst.reg] = c.sub32(c.Regs[in.dst.reg], c.Regs[in.src.reg])
+
+		case hCmpMR:
+			a := uint32(in.src.val) + c.Regs[in.src.reg]
+			m.MemAccess(a)
+			s, err := c.AS.Load(a, 4)
+			if err != nil {
+				return c.pageFault(err, a)
+			}
+			c.sub32(c.Regs[in.dst.reg], s)
+
+		case hXorRR:
+			c.Regs[in.dst.reg] = c.logic32(c.Regs[in.dst.reg] ^ c.Regs[in.src.reg])
+
+		case hXorMR:
+			a := uint32(in.src.val) + c.Regs[in.src.reg]
+			m.MemAccess(a)
+			s, err := c.AS.Load(a, 4)
+			if err != nil {
+				return c.pageFault(err, a)
+			}
+			c.Regs[in.dst.reg] = c.logic32(c.Regs[in.dst.reg] ^ s)
+
+		case hAndIR:
+			c.Regs[in.dst.reg] = c.logic32(c.Regs[in.dst.reg] & uint32(in.src.val))
+
+		case hShlIR:
+			// A count of zero changes nothing, flags included.
+			if cnt := uint32(in.src.val) & 31; cnt > 0 {
+				d := c.Regs[in.dst.reg]
+				res := d << cnt
+				c.CF = d&(1<<(32-cnt)) != 0
+				c.setZS(res, mask32, sign32)
+				c.OF = false
+				c.Regs[in.dst.reg] = res
+			}
+
+		case hShrIR:
+			if cnt := uint32(in.src.val) & 31; cnt > 0 {
+				d := c.Regs[in.dst.reg]
+				res := d >> cnt
+				c.CF = d&(1<<(cnt-1)) != 0
+				c.setZS(res, mask32, sign32)
+				c.OF = false
+				c.Regs[in.dst.reg] = res
+			}
+
+		case hDecR:
+			d := c.Regs[in.dst.reg]
+			res := d - 1
+			c.OF = d == sign32
+			c.setZS(res, mask32, sign32) // CF unaffected, as on x86
+			c.Regs[in.dst.reg] = res
+
+		case hPushR:
+			v := c.Regs[in.src.reg]
+			m.MemAccess(c.Regs[isa.ESP] - 4)
+			if err := c.Push(v); err != nil {
+				return err
+			}
+
+		case hPopR:
+			m.MemAccess(c.Regs[isa.ESP])
+			v, err := c.Pop()
+			if err != nil {
+				return c.pageFault(err, c.Regs[isa.ESP])
+			}
+			c.Regs[in.dst.reg] = v
+
+		case hJcc:
+			if c.cond(in.cond) {
+				next = in.target
+			}
+
+		default:
+			done, err := c.exec(in, next, shadowBase)
+			if err != nil {
+				return err
+			}
+			if done {
+				return nil
+			}
+			continue
 		}
-		return nil
-	case isa.KindMem:
-		a := c.EA(o)
-		c.Meter.MemAccess(a)
-		if err := c.AS.Store(a, size, val&sizeMask(size)); err != nil {
-			return c.pageFault(err, a)
-		}
-		return nil
+		c.PC = next
 	}
-	return &Fault{Kind: FaultInvalidOp, PC: c.PC, Msg: "bad store operand"}
 }
 
 func (c *CPU) pageFault(err error, addr uint32) error {
@@ -383,11 +460,44 @@ func sizeMask(size uint32) uint32 {
 
 func signBit(size uint32) uint32 { return 1 << (size*8 - 1) }
 
-// setZS sets ZF/SF from a result.
-func (c *CPU) setZS(v, size uint32) {
-	v &= sizeMask(size)
+// Mask and sign bit of a 32-bit operand.
+const (
+	mask32 = 0xFFFFFFFF
+	sign32 = 0x80000000
+)
+
+// setZS sets ZF/SF from a result, given the operand size's mask and sign
+// bit.
+func (c *CPU) setZS(v, mask, sign uint32) {
+	v &= mask
 	c.ZF = v == 0
-	c.SF = v&signBit(size) != 0
+	c.SF = v&sign != 0
+}
+
+// add32 sets the flags of the 32-bit addition d + s and returns the sum.
+func (c *CPU) add32(d, s uint32) uint32 {
+	res := d + s
+	c.setZS(res, mask32, sign32)
+	c.CF = res < d
+	c.OF = ^(d^s)&(d^res)&sign32 != 0
+	return res
+}
+
+// sub32 sets the flags of the 32-bit subtraction d - s and returns the
+// difference (sub, and cmp which drops it).
+func (c *CPU) sub32(d, s uint32) uint32 {
+	res := d - s
+	c.setZS(res, mask32, sign32)
+	c.CF = d < s
+	c.OF = (d^s)&(d^res)&sign32 != 0
+	return res
+}
+
+// logic32 sets the flags of a 32-bit and/or/xor result and returns it.
+func (c *CPU) logic32(res uint32) uint32 {
+	c.setZS(res, mask32, sign32)
+	c.CF, c.OF = false, false
+	return res
 }
 
 // flagsPack encodes flags in x86 EFLAGS bit positions.

@@ -80,6 +80,15 @@ type Meter struct {
 	l1    [l1Lines]uint32
 	l1i   [l1Lines]uint32
 
+	// fetchLine is the cache line of the previous IFetch while that line
+	// is still known to sit in both the TLB and the L1I, invalidTag
+	// otherwise. A fetch in it is a double hit: it charges nothing and
+	// changes no state, so IFetch returns before looking either up. The
+	// three writes that can take the line out from under it reset it: a
+	// TLB fill (either side; the victim may be the code page), an L1I
+	// fill and FlushHW.
+	fetchLine uint32
+
 	// Statistics.
 	TLBMisses   uint64
 	L1Misses    uint64
@@ -132,6 +141,7 @@ func (m *Meter) tlbAccess(vpage uint32) uint64 {
 	}
 	m.tlb[set][m.tlbRR[set]] = vpage
 	m.tlbRR[set] = (m.tlbRR[set] + 1) % tlbWays
+	m.fetchLine = invalidTag
 	m.TLBMisses++
 	return CostTLBMiss
 }
@@ -158,6 +168,15 @@ func (m *Meter) MemAccess(vaddr uint32) uint64 {
 // L2 penalty (amortised across the straight-line code in the line); hits
 // are free (fetch is pipelined). Shares the TLB with the data side.
 func (m *Meter) IFetch(pc uint32) uint64 {
+	if pc>>l1LineShift == m.fetchLine {
+		return 0
+	}
+	return m.fetchNewLine(pc)
+}
+
+// fetchNewLine is IFetch past its same-line short cut: the full TLB and
+// L1I lookup, after which the line is resident in both.
+func (m *Meter) fetchNewLine(pc uint32) uint64 {
 	cost := m.tlbAccess(pc >> pageShiftConst)
 	line := pc >> l1LineShift
 	li := line & l1IndexMask
@@ -166,6 +185,7 @@ func (m *Meter) IFetch(pc uint32) uint64 {
 		m.L1IMisses++
 		cost += CostL1Miss
 	}
+	m.fetchLine = line
 	m.buckets[m.current] += cost
 	return cost
 }
@@ -195,6 +215,7 @@ func (m *Meter) FlushHW() {
 	for i := range m.l1i {
 		m.l1i[i] = invalidTag
 	}
+	m.fetchLine = invalidTag
 	m.Flushes++
 }
 

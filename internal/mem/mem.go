@@ -10,7 +10,10 @@
 // run without an address-space switch.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageSize is the size of a page/frame in bytes.
 const PageSize = 4096
@@ -125,6 +128,16 @@ func (p *Physical) readPhys(pa uint32, size uint32) (uint32, error) {
 	if fr == nil {
 		return 0, fmt.Errorf("mem: physical read of unallocated frame %#x", f)
 	}
+	// One little-endian access for the sizes the ISA has; any other size
+	// keeps the byte loop.
+	switch size {
+	case 4:
+		return binary.LittleEndian.Uint32(fr[off : off+4]), nil
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(fr[off : off+2])), nil
+	case 1:
+		return uint32(fr[off]), nil
+	}
 	var v uint32
 	for i := uint32(0); i < size; i++ {
 		v |= uint32(fr[off+i]) << (8 * i)
@@ -143,8 +156,17 @@ func (p *Physical) writePhys(pa uint32, size uint32, val uint32) error {
 	if fr == nil {
 		return fmt.Errorf("mem: physical write of unallocated frame %#x", f)
 	}
-	for i := uint32(0); i < size; i++ {
-		fr[off+i] = byte(val >> (8 * i))
+	switch size {
+	case 4:
+		binary.LittleEndian.PutUint32(fr[off:off+4], val)
+	case 2:
+		binary.LittleEndian.PutUint16(fr[off:off+2], uint16(val))
+	case 1:
+		fr[off] = byte(val)
+	default:
+		for i := uint32(0); i < size; i++ {
+			fr[off+i] = byte(val >> (8 * i))
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -328,5 +329,155 @@ func TestFrameTableEdges(t *testing.T) {
 	}
 	if err := as.WriteBytes(0x30000, []byte{1}); err == nil {
 		t.Error("WriteBytes through an unallocated frame succeeded")
+	}
+}
+
+// refReadPhys and refWritePhys are the physical accessors as they stood
+// before the word-sized moves: MMIO first, then the unallocated-frame
+// test, then one byte at a time.
+func refReadPhys(p *Physical, pa, size uint32) (uint32, error) {
+	f, off := pa/PageSize, pa&PageMask
+	e := p.entry(f)
+	if e.dev != nil {
+		return e.dev.MMIORead((f-e.base)*PageSize+off, size), nil
+	}
+	fr := e.data
+	if fr == nil {
+		return 0, fmt.Errorf("mem: physical read of unallocated frame %#x", f)
+	}
+	var v uint32
+	for i := uint32(0); i < size; i++ {
+		v |= uint32(fr[off+i]) << (8 * i)
+	}
+	return v, nil
+}
+
+func refWritePhys(p *Physical, pa, size, val uint32) error {
+	f, off := pa/PageSize, pa&PageMask
+	e := p.entry(f)
+	if e.dev != nil {
+		e.dev.MMIOWrite((f-e.base)*PageSize+off, size, val)
+		return nil
+	}
+	fr := e.data
+	if fr == nil {
+		return fmt.Errorf("mem: physical write of unallocated frame %#x", f)
+	}
+	for i := uint32(0); i < size; i++ {
+		fr[off+i] = byte(val >> (8 * i))
+	}
+	return nil
+}
+
+// refLoad and refStore are Load and Store over the reference accessors.
+func refLoad(as *AddressSpace, vaddr, size uint32) (uint32, error) {
+	if (vaddr&PageMask)+size <= PageSize {
+		pa, ok := as.Translate(vaddr)
+		if !ok {
+			return 0, &PageFault{Space: as.Name, Addr: vaddr}
+		}
+		return refReadPhys(as.Phys, pa, size)
+	}
+	var v uint32
+	for i := uint32(0); i < size; i++ {
+		b, err := refLoad(as, vaddr+i, 1)
+		if err != nil {
+			return 0, err
+		}
+		v |= b << (8 * i)
+	}
+	return v, nil
+}
+
+func refStore(as *AddressSpace, vaddr, size, val uint32) error {
+	if (vaddr&PageMask)+size <= PageSize {
+		pa, ok := as.Translate(vaddr)
+		if !ok {
+			return &PageFault{Space: as.Name, Addr: vaddr, Write: true}
+		}
+		return refWritePhys(as.Phys, pa, size, val)
+	}
+	for i := uint32(0); i < size; i++ {
+		if err := refStore(as, vaddr+i, 1, val>>(8*i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestLoadStoreMatchByteLoop holds Load and Store against the byte-loop
+// reference at every kind of place an access can land: inside a RAM page
+// (aligned and not), on its last bytes, across each kind of page boundary,
+// inside the device page, on a page mapped to a frame nobody allocated and
+// on an unmapped page. Value, error, RAM contents and the device's log
+// (offset, size, value and number of calls) must all agree.
+func TestLoadStoreMatchByteLoop(t *testing.T) {
+	// The world plus one page whose frame was never allocated.
+	const orphanPage = worldPages
+	build := func() *world {
+		w := newWorld()
+		w.as.Map(worldBase/PageSize+orphanPage, 0x7777)
+		return w
+	}
+	page := func(vp uint32) uint32 { return worldBase + vp*PageSize }
+	var addrs []uint32
+	for _, off := range []uint32{0, 4, 1, 2, 3, 0x7FD, PageSize - 4, PageSize - 3, PageSize - 2, PageSize - 1} {
+		for vp := uint32(0); vp <= orphanPage; vp++ {
+			addrs = append(addrs, page(vp)+off)
+		}
+	}
+	sameErr := func(a, b error) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		pa, okA := a.(*PageFault)
+		pb, okB := b.(*PageFault)
+		if okA || okB {
+			return okA && okB && *pa == *pb
+		}
+		return a.Error() == b.Error()
+	}
+	for _, size := range []uint32{1, 2, 4, 3} { // 3: no instruction has it, the byte loop still serves it
+		for _, a := range addrs {
+			got, want := build(), build()
+			v, err := got.as.Load(a, size)
+			rv, rerr := refLoad(want.as, a, size)
+			if v != rv || !sameErr(err, rerr) {
+				t.Errorf("Load(%#x, %d) = %#x, %v; byte loop %#x, %v", a, size, v, err, rv, rerr)
+			}
+			if !reflect.DeepEqual(got.dev.log, want.dev.log) {
+				t.Errorf("Load(%#x, %d): device saw %+v, byte loop %+v", a, size, got.dev.log, want.dev.log)
+			}
+
+			got, want = build(), build()
+			const val = 0xA1B2C3D4
+			err, rerr = got.as.Store(a, size, val), refStore(want.as, a, size, val)
+			if !sameErr(err, rerr) {
+				t.Errorf("Store(%#x, %d) = %v; byte loop %v", a, size, err, rerr)
+			}
+			if !bytes.Equal(got.ram(), want.ram()) {
+				t.Errorf("Store(%#x, %d): RAM differs from the byte loop's", a, size)
+			}
+			if !reflect.DeepEqual(got.dev.log, want.dev.log) {
+				t.Errorf("Store(%#x, %d): device saw %+v, byte loop %+v", a, size, got.dev.log, want.dev.log)
+			}
+		}
+	}
+
+	// The fault names the first byte that missed, and whether it was a
+	// write: a straddle off the last RAM page faults on the unmapped page's
+	// first byte, after the bytes before it were stored.
+	w := build()
+	last := page(worldPages-1) - 2
+	err := w.as.Store(last, 4, 0x11223344)
+	if pf, ok := err.(*PageFault); !ok || pf.Addr != page(worldPages-1) || !pf.Write {
+		t.Errorf("straddling store: err = %v, want a write fault at %#x", err, page(worldPages-1))
+	}
+	if v, _ := w.as.Load(last, 2); v != 0x3344 {
+		t.Errorf("straddling store left %#x before the fault, want 0x3344", v)
+	}
+	_, err = w.as.Load(last, 4)
+	if pf, ok := err.(*PageFault); !ok || pf.Addr != page(worldPages-1) || pf.Write {
+		t.Errorf("straddling load: err = %v, want a read fault at %#x", err, page(worldPages-1))
 	}
 }

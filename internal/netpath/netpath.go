@@ -272,42 +272,43 @@ func (p *Path) ResetMeasurement() {
 // for the path direction. Sizes below the 14-byte Ethernet header are
 // rejected rather than panicking in the payload arithmetic.
 func (p *Path) frame(d *core.NICDev, size int, rx bool) ([]byte, error) {
-	if rx {
-		return p.frameTo(d.Dev.HWAddr(), size)
-	}
-	return p.frameFrom(d.Dev.HWAddr(), size)
+	return p.buildFrame(d.Dev.HWAddr(), rx, size)
 }
 
 // frameTo builds a receive-direction frame of the given total size
 // addressed to dst.
 func (p *Path) frameTo(dst [6]byte, size int) ([]byte, error) {
-	payload, err := p.framePayload(size)
-	if err != nil {
-		return nil, err
-	}
-	return core.EthernetFrame(dst, [6]byte{0, 0x50, 0x56, 1, 2, p.rxSeq}, 0x0800, payload), nil
+	return p.buildFrame(dst, true, size)
 }
 
 // frameFrom builds a transmit-direction frame of the given total size
 // sourced from src.
 func (p *Path) frameFrom(src [6]byte, size int) ([]byte, error) {
-	payload, err := p.framePayload(size)
-	if err != nil {
-		return nil, err
-	}
-	return core.EthernetFrame([6]byte{0, 0x50, 0x56, 9, 9, p.rxSeq}, src, 0x0800, payload), nil
+	return p.buildFrame(src, false, size)
 }
 
-func (p *Path) framePayload(size int) ([]byte, error) {
+// buildFrame builds the next frame of the path's sequence in one
+// allocation: Ethernet header, the sparse payload pattern, zero padding to
+// the 60-byte minimum. local is the machine's end — the destination of a
+// received frame, the source of a transmitted one; the other end is a
+// synthetic peer numbered with the sequence byte.
+func (p *Path) buildFrame(local [6]byte, rx bool, size int) ([]byte, error) {
 	if size < 14 {
 		return nil, fmt.Errorf("netpath: frame size %d is below the 14-byte Ethernet header", size)
 	}
 	p.rxSeq++
-	payload := make([]byte, size-14)
-	for i := 0; i < len(payload); i += 97 {
-		payload[i] = p.rxSeq + byte(i)
+	dst, src := [6]byte{0, 0x50, 0x56, 9, 9, p.rxSeq}, local
+	if rx {
+		dst, src = local, [6]byte{0, 0x50, 0x56, 1, 2, p.rxSeq}
 	}
-	return payload, nil
+	f := make([]byte, max(size, 60))
+	copy(f[0:6], dst[:])
+	copy(f[6:12], src[:])
+	f[12], f[13] = 0x08, 0x00 // IPv4
+	for i := 14; i < size; i += 97 {
+		f[i] = p.rxSeq + byte(i-14)
+	}
+	return f, nil
 }
 
 // SendOne pushes one size-byte packet out through NIC index i.

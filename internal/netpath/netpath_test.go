@@ -1,6 +1,7 @@
 package netpath
 
 import (
+	"bytes"
 	"testing"
 
 	"twindrivers/internal/core"
@@ -354,5 +355,51 @@ func TestMultiGuestRejectsNonTwin(t *testing.T) {
 	}
 	if _, err := p.SendBurstMulti(0, 600, 1); err == nil {
 		t.Error("SendBurstMulti on a non-twin path succeeded")
+	}
+}
+
+// oldFrame is the frame builder as it was composed before buildFrame: a
+// payload slice with the sparse sequence pattern, handed to
+// core.EthernetFrame for the header and the padding — two allocations,
+// three below the Ethernet minimum.
+func oldFrame(seq *byte, local [6]byte, rx bool, size int) []byte {
+	*seq++
+	payload := make([]byte, size-14)
+	for i := 0; i < len(payload); i += 97 {
+		payload[i] = *seq + byte(i)
+	}
+	if rx {
+		return core.EthernetFrame(local, [6]byte{0, 0x50, 0x56, 1, 2, *seq}, 0x0800, payload)
+	}
+	return core.EthernetFrame([6]byte{0, 0x50, 0x56, 9, 9, *seq}, local, 0x0800, payload)
+}
+
+// TestBuildFrameMatchesOldComposition pins the one-allocation builder
+// byte for byte against the two-step composition it replaced: every edge
+// size in both directions, and across the wrap of the sequence byte.
+func TestBuildFrameMatchesOldComposition(t *testing.T) {
+	mac := [6]byte{0x02, 0xFA, 0xCE, 0, 0, 7}
+	for _, size := range []int{14, 15, 59, 60, 64, 111, 112, 1514} {
+		for _, rx := range []bool{true, false} {
+			p, seq := &Path{rxSeq: 250}, byte(250)
+			for i := 0; i < 12; i++ { // 251 … 255, 0 … 6
+				got, err := p.buildFrame(mac, rx, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := oldFrame(&seq, mac, rx, size); !bytes.Equal(got, want) {
+					t.Fatalf("size %d rx=%v seq %d:\n got %x\nwant %x", size, rx, seq, got, want)
+				}
+				if p.rxSeq != seq {
+					t.Fatalf("sequence byte %d, want %d", p.rxSeq, seq)
+				}
+			}
+		}
+	}
+	p := &Path{}
+	for _, size := range []int{14, 59, 60, 1514} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = p.buildFrame(mac, true, size) }); n != 1 {
+			t.Errorf("size %d: %v allocations per frame, want 1", size, n)
+		}
 	}
 }
