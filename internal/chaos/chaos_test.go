@@ -169,6 +169,26 @@ func TestSoakParallelQueues(t *testing.T) {
 	}
 }
 
+// TestSoakSlabDoubleFreeSeed replays the seed that kept the full-mode
+// soak red from PR 10 on: a contained runaway-loop fault freed an
+// already-free dom0 sk_buff a second time (first at step 8; the one
+// that bit was made by the step-135 abort), the slab handed it to two
+// RX descriptors after the step-137 recovery, and at step 138 an
+// ordinary receive delivered guest 3 one frame's length with another's
+// bytes. 140 steps is the shortest run that reached the victim.
+func TestSoakSlabDoubleFreeSeed(t *testing.T) {
+	if _, err := Run(Config{
+		Seed:    0xC4A05,
+		Backend: "e1000",
+		Guests:  4,
+		Steps:   140,
+		Hostile: true,
+		Faults:  true,
+	}); err != nil {
+		t.Fatalf("soak: %v", err)
+	}
+}
+
 // TestSoakHasTeeth proves the harness's invariant checks actually bite: the
 // identical configuration passes clean, and suppressing exactly one Lost
 // increment (the tamper flag, wired through the loss choke points) makes

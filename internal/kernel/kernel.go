@@ -200,7 +200,9 @@ func (k *Kernel) AllocSkb(dev uint32) uint32 {
 
 // FreeSkb releases an sk_buff to the free list (pool skbs are left to the
 // pool owner — the hypervisor's refcount trick keeps dom0 from reclaiming
-// them, §4.3).
+// them, §4.3). A slab skb whose refcount is already 0 is already on the
+// free list: freeing it again is refused, as in Linux, or the slab would
+// hand one buffer to two owners.
 func (k *Kernel) FreeSkb(skb uint32) {
 	if k.load(skb+SkbPool) != 0 {
 		// Pool-owned: drop the reference; the pool reclaims it.
@@ -210,6 +212,10 @@ func (k *Kernel) FreeSkb(skb uint32) {
 		}
 		return
 	}
+	if k.load(skb+SkbRefcnt) == 0 {
+		return
+	}
+	k.store(skb+SkbRefcnt, 0)
 	k.skbFree = append(k.skbFree, skb)
 }
 

@@ -83,6 +83,26 @@ func TestSkbAllocFreeRecycle(t *testing.T) {
 	}
 }
 
+// TestFreeSkbTwiceKeepsSlabDistinct pins the dom0 slab against a double
+// free: a contained driver fault can hand the same stale sk_buff to
+// FreeSkb twice (the injector aliases an already-freed skb into the RX
+// ring, the abort frees every queued skb), and a slab holding it twice
+// gives one buffer to two RX descriptors — the next ordinary receive
+// delivers one frame's bytes under another's length.
+func TestFreeSkbTwiceKeepsSlabDistinct(t *testing.T) {
+	_, k := newKernel(t)
+	skb := k.AllocSkb(0)
+	k.FreeSkb(skb)
+	k.FreeSkb(skb)
+	a, b := k.AllocSkb(0), k.AllocSkb(0)
+	if a == b {
+		t.Fatalf("double free: one sk_buff %#x allocated twice", a)
+	}
+	if k.load(a+SkbHead) == k.load(b+SkbHead) {
+		t.Fatalf("double free: two sk_buffs share data buffer %#x", k.load(a+SkbHead))
+	}
+}
+
 func TestSkbPutAndBytes(t *testing.T) {
 	_, k := newKernel(t)
 	skb := k.AllocSkb(0)

@@ -78,6 +78,21 @@ func TestRunExperimentEffort(t *testing.T) {
 	}
 }
 
+// TestSoakFullMode runs the soak experiment exactly as `twinbench
+// -experiment soak` does — full mode, 240 steps on every backend, plain
+// and weighted+switched — so tier-1 owns the advertised command. Quick
+// mode (80 steps) ends before the slab double free of PR 10 bit, which is
+// how the command stayed red for six PRs.
+func TestSoakFullMode(t *testing.T) {
+	var b strings.Builder
+	if err := twindrivers.RunExperiment(&b, "soak", false); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "240 steps"); n != 2*len(twindrivers.Backends()) {
+		t.Errorf("soak rendered %d full-mode runs, want both variants on every backend:\n%s", n, b.String())
+	}
+}
+
 func TestDefaultHvSupportIsTableOne(t *testing.T) {
 	s := twindrivers.DefaultHvSupport()
 	if len(s) != 10 {
