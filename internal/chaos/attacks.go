@@ -657,11 +657,7 @@ func attackSwitchMacSpoof(s *Soak, g *soakGuest) error {
 	if s.tw.Dead || len(g.stagedQ) != 1 {
 		return nil // abort mid-stage, or the ring refused the frame
 	}
-	service := s.tw.ServiceRings
-	if s.cfg.Parallel {
-		service = s.tw.ServiceAllQueues
-	}
-	if _, err := service(s.d, 0); err != nil || s.tw.Dead {
+	if _, err := s.tw.ServiceRings(s.d, 0); err != nil || s.tw.Dead {
 		if errors.Is(err, core.ErrDriverDead) || s.tw.Dead {
 			return s.accountAbort()
 		}

@@ -132,20 +132,9 @@ type Config struct {
 	// device; the switch-mac-spoof attack needs the surface present.
 	Switch bool
 
-	// Parallel services the transmit rings with ServiceAllQueues — one
-	// goroutine per service queue — instead of the sequential sweep.
-	// Every ledger and invariant is unaffected (each guest lives on
-	// exactly one queue, so per-guest wire order is preserved), but the
-	// wire interleaving across queues follows goroutine scheduling:
-	// parallel runs with the same seed agree on every ledger yet may
-	// differ in Digest.
-	Parallel bool
-
 	// Trace attaches a telemetry tracer to the soak's twin; the report
-	// then carries the tracer's event-stream digest. Like Digest, the
-	// trace digest is seed-deterministic only for sequential runs —
-	// under Parallel the per-queue sweep interleaving (and so the
-	// control-lane event order) follows goroutine scheduling.
+	// then carries the tracer's event-stream digest, seed-deterministic
+	// like Digest.
 	Trace *telemetry.Tracer
 }
 
@@ -635,11 +624,7 @@ func (s *Soak) serviceAll() error { return s.serviceBudget(0) }
 // whatever the crossing consumed is matched, whatever it left rides the
 // rings into the next crossing.
 func (s *Soak) serviceBudget(budget int) error {
-	service := s.tw.ServiceRings
-	if s.cfg.Parallel {
-		service = s.tw.ServiceAllQueues
-	}
-	sent, err := service(s.d, budget)
+	sent, err := s.tw.ServiceRings(s.d, budget)
 	// Posted-TX losses before the wire reconcile: the sweep consumed the
 	// refused descriptors in ring order, so the reconcile needs each
 	// guest's loss budget on hand to skip them as it matches wire frames.

@@ -15,6 +15,7 @@ import (
 	"twindrivers/internal/cpu"
 	"twindrivers/internal/drivermodel"
 	"twindrivers/internal/kernel"
+	"twindrivers/internal/netpath"
 	"twindrivers/internal/recovery"
 
 	// Link every backend under test.
@@ -85,6 +86,7 @@ func TestConformance(t *testing.T) {
 		{"switch-unicast-learning", checkSwitchUnicastLearning},
 		{"switch-broadcast-fanout", checkSwitchBroadcastFanout},
 		{"switch-mac-spoof-isolated", checkSwitchMacSpoofIsolated},
+		{"contended-switched-shares", checkContendedSwitchedShares},
 	}
 	for _, m := range backends(t) {
 		for _, b := range behaviors {
@@ -722,6 +724,61 @@ func checkSwitchMacSpoofIsolated(t *testing.T, m *drivermodel.Model) {
 	got, err := tw.DeliverPending(mach.Guests[1])
 	if err != nil || len(got) != 1 || !bytes.Equal(got[0], legit) {
 		t.Fatalf("victim's traffic perturbed after spoof attempt: %d frames, err %v", len(got), err)
+	}
+}
+
+// checkContendedSwitchedShares: the contended transmit workload with the
+// inter-guest switch on — every guest permanently backlogged, 4 crossings
+// of budget 64, weights 4:2:1. Each guest's frames carry its own
+// registered station MAC, so the count SendContended reports for a guest
+// is the count the wire saw from it and the switch drops nothing as
+// spoofed (a workload stamping one MAC on every guest reports 32 each
+// while the wire sees one guest's 32). On the model's native queue count
+// and on one queue; with one queue every guest shares the budget, so each
+// lands within one DRR quantum per crossing of its weight share.
+func checkContendedSwitchedShares(t *testing.T, m *drivermodel.Model) {
+	const guests, crossings, budget = 8, 4, 64
+	for _, queues := range []int{0, 1} {
+		p, err := netpath.NewMultiModel(netpath.Twin, 1, guests, m,
+			core.TwinConfig{Switch: true, Weights: []int{4, 2, 1}, Queues: queues})
+		if err != nil {
+			t.Fatalf("queues=%d: bring-up: %v", queues, err)
+		}
+		wire := capture(p.M.Devs[0])
+		sent, err := p.SendContended(0, 600, crossings, budget)
+		if err != nil {
+			t.Fatalf("queues=%d: %v", queues, err)
+		}
+		onWire := make([]int, guests)
+		for _, f := range *wire {
+			if !bytes.Equal(f[6:11], []byte{0x02, 0x54, 0x57, 0x49, 0x4E}) || int(f[11]) >= guests {
+				t.Fatalf("queues=%d: wire frame from unregistered source % x", queues, f[6:12])
+			}
+			onWire[f[11]]++
+		}
+		total, totalW := 0, 0
+		for _, dom := range p.M.Guests {
+			total += sent[dom.ID]
+			totalW += p.T.GuestWeight(dom.ID)
+		}
+		if total == 0 || total != len(*wire) {
+			t.Fatalf("queues=%d: reported %d frames, wire saw %d", queues, total, len(*wire))
+		}
+		for g, dom := range p.M.Guests {
+			if sent[dom.ID] != onWire[g] {
+				t.Errorf("queues=%d guest %d: reported %d sent, wire saw %d", queues, g, sent[dom.ID], onWire[g])
+			}
+			if n := p.T.VswitchSpoofDropped(dom.ID); n != 0 {
+				t.Errorf("queues=%d guest %d: %d frames dropped as spoofed", queues, g, n)
+			}
+			if p.T.QueueCount() == 1 {
+				w := p.T.GuestWeight(dom.ID)
+				want := float64(total) * float64(w) / float64(totalW)
+				if d := float64(sent[dom.ID]) - want; d > float64(w*crossings) || -d > float64(w*crossings) {
+					t.Errorf("guest %d (weight %d): %d frames, weight share %.1f", g, w, sent[dom.ID], want)
+				}
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ package core_test
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"twindrivers/internal/core"
@@ -47,58 +46,56 @@ func runShardedTraffic(t *testing.T, guests, queues int) (*core.Machine, *core.T
 	return m, tw
 }
 
-// TestServiceAllQueuesMatchesSequential pins the parallel sweep to the
-// sequential one: the same staged workload serviced by ServiceAllQueues
-// (one goroutine per queue) must report the same per-guest sent counts,
-// put the same per-guest frame sequence on the wire and charge the same
-// cycles — machine meter and every queue's own — as ServiceRings. Both
-// cases run the default configuration (nil Weights): a full drain, and
-// crossings budgeted to cut every queue's sweep mid-backlog. Run under
-// -race in CI, this is also the shared-nothing proof for the per-queue
-// hot path.
+// TestServiceAllQueuesMatchesSequential pins the multi-queue sweep of
+// ServiceRings on a 4-guest, 4-queue mqnic twin, for a full drain and for
+// crossings budgeted to cut every queue's sweep mid-backlog: every guest's
+// staged frames reach the wire complete and in order, every queue that
+// owns a guest meters its own work, the critical path (machine meter plus
+// the slowest queue) stays below the total work, and a second identical
+// run lands on the same cycles — machine meter and every queue's own. The
+// deprecated ServiceAllQueues alias must be that same sweep, cycle for
+// cycle (it lost its goroutines; the name goes with ROADMAP 1(a)).
 func TestServiceAllQueuesMatchesSequential(t *testing.T) {
 	type outcome struct {
 		sent   map[mem.Owner]int
 		wire   map[int][][]byte
 		cycles []string // machine meter, then each queue's
 	}
-	run := func(parallel bool, budget int) outcome {
+	const perGuest = 6
+	staged := func(gi int) [][]byte {
+		frames := make([][]byte, perGuest)
+		for i := range frames {
+			payload := make([]byte, 300+i)
+			for j := range payload {
+				payload[j] = byte(gi*31 + i + j)
+			}
+			// Source MAC byte 5 tags the staging guest.
+			frames[i] = core.EthernetFrame(
+				[6]byte{2, 2, 2, 2, 2, 2},
+				[6]byte{0x02, 0x61, 0, 0, byte(i), byte(gi)},
+				0x0800, payload)
+		}
+		return frames
+	}
+	run := func(alias bool, budget int) outcome {
 		m, tw, err := core.NewTwinMachineModel(1, 4, mqnic.DriverModel(), core.TwinConfig{Queues: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := m.Devs[0]
-		var mu sync.Mutex
 		out := outcome{wire: make(map[int][][]byte)}
 		d.Dev.SetOnTransmit(func(pkt []byte) {
-			mu.Lock()
-			defer mu.Unlock()
-			// Source MAC byte 5 tags the staging guest (set below).
 			out.wire[int(pkt[11])] = append(out.wire[int(pkt[11])], append([]byte(nil), pkt...))
 		})
-		const perGuest = 6
 		stage := func() {
 			for gi, dom := range m.Guests {
-				frames := make([][]byte, perGuest)
-				for i := range frames {
-					payload := make([]byte, 300+i)
-					for j := range payload {
-						payload[j] = byte(gi*31 + i + j)
-					}
-					frames[i] = core.EthernetFrame(
-						[6]byte{2, 2, 2, 2, 2, 2},
-						[6]byte{0x02, 0x61, 0, 0, byte(i), byte(gi)},
-						0x0800, payload)
-				}
-				if _, err := tw.StageTransmitBatch(dom, frames); err != nil {
+				if _, err := tw.StageTransmitBatch(dom, staged(gi)); err != nil {
 					t.Fatalf("guest %d stage: %v", gi, err)
 				}
 			}
 		}
-		// One warm-up drain first. The queues' meters are private but the
-		// stlb is shared, so whichever queue runs first pays its first
-		// touches — and the goroutines' order is the Go scheduler's. Past
-		// the first touches a queue's cycles do not depend on the order.
+		// One warm-up drain first: the queues' meters are private but the
+		// stlb is shared, so the first sweep pays every first touch.
 		stage()
 		if _, err := tw.ServiceRings(d, 0); err != nil {
 			t.Fatalf("warm-up: %v", err)
@@ -108,13 +105,13 @@ func TestServiceAllQueuesMatchesSequential(t *testing.T) {
 		out.sent, out.wire = make(map[mem.Owner]int), make(map[int][][]byte)
 		stage()
 		service := tw.ServiceRings
-		if parallel {
+		if alias {
 			service = tw.ServiceAllQueues
 		}
 		for total := 0; total < perGuest*len(m.Guests); {
 			sent, err := service(d, budget)
 			if err != nil {
-				t.Fatalf("service (parallel=%v, budget=%d): %v", parallel, budget, err)
+				t.Fatalf("service (alias=%v, budget=%d): %v", alias, budget, err)
 			}
 			for id, n := range sent {
 				out.sent[id] += n
@@ -125,22 +122,35 @@ func TestServiceAllQueuesMatchesSequential(t *testing.T) {
 			}
 		}
 		out.cycles = append(out.cycles, m.HV.Meter.String())
-		for _, qm := range tw.QueueMeters() {
+		critical, work := m.HV.Meter.Total(), m.HV.Meter.Total()
+		var slowest uint64
+		for q, qm := range tw.QueueMeters() {
 			out.cycles = append(out.cycles, qm.String())
+			if qm.Total() == 0 {
+				t.Errorf("budget %d: queue %d owns a guest but metered no cycles", budget, q)
+			}
+			slowest = max(slowest, qm.Total())
+			work += qm.Total()
+		}
+		if critical += slowest; critical >= work {
+			t.Errorf("budget %d: critical path %d not below total work %d", budget, critical, work)
+		}
+		for gi, dom := range m.Guests {
+			if out.sent[dom.ID] != perGuest || !reflect.DeepEqual(out.wire[gi], staged(gi)) {
+				t.Errorf("budget %d: guest %d reported %d sent, %d frames on the wire; want its %d staged frames in order",
+					budget, gi, out.sent[dom.ID], len(out.wire[gi]), perGuest)
+			}
 		}
 		return out
 	}
 	// Budget 4 cuts every queue's sweep (6 staged per queue) mid-backlog.
 	for _, budget := range []int{0, 4} {
-		seq, par := run(false, budget), run(true, budget)
-		if !reflect.DeepEqual(seq.sent, par.sent) {
-			t.Fatalf("budget %d: sent maps differ: sequential %v, parallel %v", budget, seq.sent, par.sent)
+		seq, again, alias := run(false, budget), run(false, budget), run(true, budget)
+		if !reflect.DeepEqual(seq.cycles, again.cycles) {
+			t.Fatalf("budget %d: cycles differ between identical runs:\n %v\n %v", budget, seq.cycles, again.cycles)
 		}
-		if !reflect.DeepEqual(seq.wire, par.wire) {
-			t.Fatalf("budget %d: per-guest wire sequences differ between sequential and parallel service", budget)
-		}
-		if !reflect.DeepEqual(seq.cycles, par.cycles) {
-			t.Fatalf("budget %d: cycles differ:\n sequential %v\n parallel   %v", budget, seq.cycles, par.cycles)
+		if !reflect.DeepEqual(seq, alias) {
+			t.Fatalf("budget %d: the ServiceAllQueues alias is not ServiceRings:\n sequential %v\n alias      %v", budget, seq.cycles, alias.cycles)
 		}
 	}
 }

@@ -344,12 +344,15 @@ func TestSchedUnitWeightsAreRoundRobin(t *testing.T) {
 	})
 }
 
-// TestServiceAllQueuesDRR: the weighted-fair sweep under the parallel
-// goroutine-per-queue service loops (run under -race in CI). Weights
-// apply within each queue's shard; the total drained must equal the
-// total staged and shares inside each shard follow the weights.
+// TestServiceAllQueuesDRR: the weighted-fair sweep across all the queues
+// of one ServiceRings crossing (the name dates from the goroutine-per-queue
+// sweep it once ran). Weights apply within each queue's shard: a crossing
+// budgeted to 4 descriptors per queue consumes exactly 4 from every queue,
+// the guests sharing a queue are never more than one DRR round apart in
+// service per unit of weight, and the drain that follows moves everything
+// staged.
 func TestServiceAllQueuesDRR(t *testing.T) {
-	const guests, queues = 8, 4
+	const guests, queues, budget = 8, 4, 4
 	m, tw, err := core.NewTwinMachineModel(1, guests, mqnic.DriverModel(), core.TwinConfig{
 		Queues:  queues,
 		Weights: []int{3, 1},
@@ -371,20 +374,41 @@ func TestServiceAllQueuesDRR(t *testing.T) {
 		}
 		total += n
 	}
-	sent, err := tw.ServiceAllQueues(d, 0)
+	cut, err := tw.ServiceRings(d, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perQueue := make([]int, queues)
+	lo, hi := make([]float64, queues), make([]float64, queues) // rounds of service, per queue
+	for q := range lo {
+		lo[q] = budget
+	}
+	for gi, dom := range m.Guests {
+		w := tw.GuestWeight(dom.ID)
+		if w != []int{3, 1}[gi%2] {
+			t.Fatalf("guest %d weight = %d", gi, w)
+		}
+		q, rounds := tw.QueueOf(dom.ID), float64(cut[dom.ID])/float64(w)
+		lo[q], hi[q] = min(lo[q], rounds), max(hi[q], rounds)
+		perQueue[q] += cut[dom.ID]
+	}
+	for q, n := range perQueue {
+		if n != budget {
+			t.Errorf("queue %d consumed %d descriptors under budget %d", q, n, budget)
+		}
+		if hi[q]-lo[q] > 1 {
+			t.Errorf("queue %d: guests %.2f to %.2f rounds of service apart", q, lo[q], hi[q])
+		}
+	}
+	rest, err := tw.ServiceRings(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := 0
-	for _, n := range sent {
-		got += n
+	for _, dom := range m.Guests {
+		got += cut[dom.ID] + rest[dom.ID]
 	}
 	if got != total {
 		t.Fatalf("drained %d of %d staged", got, total)
-	}
-	for gi, dom := range m.Guests {
-		if w := tw.GuestWeight(dom.ID); w != []int{3, 1}[gi%2] {
-			t.Fatalf("guest %d weight = %d", gi, w)
-		}
 	}
 }

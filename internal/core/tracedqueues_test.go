@@ -1,9 +1,6 @@
-// Traced parallel queue service. External test package: mqnic imports
+// Traced multi-queue service. External test package: mqnic imports
 // core, so this cannot live inside package core (same split as the
-// queue-meter tests). The CI race leg's -run pattern
-// (TestServiceAllQueues) picks this up, making it the proof that the
-// one-writer-per-lane discipline holds under the goroutine-per-queue
-// sweep.
+// queue-meter tests).
 package core_test
 
 import (
@@ -15,6 +12,10 @@ import (
 	"twindrivers/internal/telemetry"
 )
 
+// TestServiceAllQueuesTraced: one traced ServiceRings crossing over four
+// queues leaves exactly one sweep-start/sweep-end pair on every queue's
+// own lane and exports a well-nested trace (the name dates from the
+// goroutine-per-queue sweep it once ran).
 func TestServiceAllQueuesTraced(t *testing.T) {
 	const guests, queues = 8, 4
 	tr := telemetry.New(0)
@@ -42,7 +43,7 @@ func TestServiceAllQueuesTraced(t *testing.T) {
 			t.Fatalf("guest %d stage: %v", gi, err)
 		}
 	}
-	if _, err := tw.ServiceAllQueues(d, 0); err != nil {
+	if _, err := tw.ServiceRings(d, 0); err != nil {
 		t.Fatalf("service: %v", err)
 	}
 
@@ -65,20 +66,20 @@ func TestServiceAllQueuesTraced(t *testing.T) {
 				ends++
 			}
 		}
-		if starts == 0 || starts != ends {
-			t.Errorf("lane %s: %d sweep starts, %d ends", l.Name(), starts, ends)
+		if starts != 1 || ends != 1 {
+			t.Errorf("lane %s: %d sweep starts, %d ends, want one pair", l.Name(), starts, ends)
 		}
 	}
 	if seen != queues {
 		t.Fatalf("found %d queue lanes, want %d", seen, queues)
 	}
 
-	// The parallel traced sweep must export a valid nested trace too.
+	// The traced sweep must export a valid nested trace too.
 	var sb strings.Builder
 	if err := telemetry.WriteChromeTrace(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := telemetry.ValidateChromeTrace([]byte(sb.String())); err != nil {
-		t.Fatalf("traced parallel sweep exports invalid chrome trace: %v", err)
+		t.Fatalf("traced sweep exports invalid chrome trace: %v", err)
 	}
 }

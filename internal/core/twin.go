@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"twindrivers/internal/asm"
 	"twindrivers/internal/cost"
@@ -251,20 +250,15 @@ type Twin struct {
 	// Per-queue service state: guests shard across nQueues service
 	// queues (queueGuests fixes each queue's round-robin order); with
 	// more than one queue each gets its own cycle meter — its simulated
-	// core — merged into a machine-wide view at measurement time. execMu
-	// serializes all simulated-machine work when the per-queue loops run
-	// as concurrent goroutines: the Go-level structure is parallel, the
-	// one-CPU machine underneath is not.
+	// core — merged into a machine-wide view at measurement time.
 	nQueues     int
 	queueGuests [][]mem.Owner
 	queueMeters []*cycles.Meter
 	qSched      []qSched // per-queue DRR cycle position (sched.go)
-	execMu      sync.Mutex
 
 	// Telemetry: one control lane for machine-scoped events (hypercalls,
 	// faults, recoveries, deliveries, TLB traffic) plus one lane per
-	// service queue for sweep events, each written only under execMu or
-	// by its own queue's goroutine. All nil when tracing is off — every
+	// service queue for sweep events. All nil when tracing is off — every
 	// Record call then returns before touching anything. mMeter is the
 	// machine-wide meter captured before any per-queue swap, so
 	// control-lane stamps share one monotonic clock even when a fault

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"twindrivers/internal/mem"
 	"twindrivers/internal/telemetry"
@@ -155,8 +154,7 @@ func (g *guestIO) stage(frames [][]byte) (int, error) {
 // On a single-queue backend queue 0's guest list is guestOrder and its
 // meter is the machine meter. With more queues, each queue's work is
 // charged to that queue's own meter (its simulated core); queues are
-// swept in index order here, and ServiceAllQueues runs the same sweeps as
-// concurrent goroutines.
+// swept in index order.
 //
 // A corrupt ring header (ErrRingCorrupt — the guest scribbled its
 // guest-writable head/tail words) or a transmit fault discards the
@@ -185,59 +183,22 @@ func (t *Twin) ServiceRings(d *NICDev, budget int) (map[mem.Owner]int, error) {
 	return sent, firstErr
 }
 
-// ServiceAllQueues is ServiceRings with a goroutine per service queue:
-// the Go-level structure of parallel per-queue service loops, each loop's
-// hot path shared-nothing (own guest list, own ring set, own meter). The
-// simulated machine underneath is a single CPU, so execMu serializes the
-// actual execution — concurrency here is about proving the loop structure
-// race-clean (the chaos soak runs it under -race), not about wall-clock.
-// The simulated-time win of multiple queues comes from the per-queue
-// meters: the critical path is the slowest queue, not the sum.
+// ServiceAllQueues is ServiceRings.
+//
+// Deprecated: the goroutine-per-queue sweep this name once ran was
+// serialized on one simulated CPU and pinned cycle-identical to
+// ServiceRings, so it could only be slower on the host clock. The name
+// survives because benchmark/kernels.go still calls it; the
+// benchmark-only PR of ROADMAP item 1(a) removes it.
 func (t *Twin) ServiceAllQueues(d *NICDev, budget int) (map[mem.Owner]int, error) {
-	if t.Dead {
-		return nil, ErrDriverDead
-	}
-	t.M.HV.ChargeHypercall()
-	t.ctlLane.Record(t.mMeter, telemetry.EvHypercall, -1, 0, 0)
-	sent := make(map[mem.Owner]int)
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	for q := 0; q < t.nQueues; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			t.execMu.Lock()
-			defer t.execMu.Unlock()
-			if t.Dead {
-				return
-			}
-			qsent := make(map[mem.Owner]int)
-			err := t.withQueueMeter(q, func() error {
-				return t.serviceQueue(d, q, budget, qsent)
-			})
-			mu.Lock()
-			for id, n := range qsent {
-				sent[id] += n
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(q)
-	}
-	wg.Wait()
-	return sent, firstErr
+	return t.ServiceRings(d, budget)
 }
 
 // serviceQueue runs one service queue's sweep (sweepQueue, sched.go)
 // bracketed by start/end events on the queue's own telemetry lane,
 // stamped with the meter in scope — queue q's own simulated core when
 // several queues run — so a traced mq run renders each queue as its own
-// timeline. The queue goroutine is the lane's only writer (serialized
-// under execMu), which is what the -race traced-service test pins.
+// timeline.
 func (t *Twin) serviceQueue(d *NICDev, q, budget int, sent map[mem.Owner]int) error {
 	lane := t.qLanes[q]
 	meter := t.M.HV.Meter

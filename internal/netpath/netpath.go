@@ -60,6 +60,35 @@ func (k Kind) String() string {
 	return "?"
 }
 
+// Options are the data-path options of a configuration, declared here
+// once: Path embeds them, and netbench.Params embeds them again, so a
+// measurement's options and the path's are the same fields. Only the
+// domU-twin path reads them (the other configurations' boundary is the
+// netfront/netback ring or no boundary at all).
+type Options struct {
+	// BatchSize is the number of frames staged per boundary crossing
+	// (SendBurst/ReceiveBurst). 0 or 1 selects the per-packet path, which
+	// is bit-for-bit the SendOne/ReceiveOne behaviour.
+	BatchSize int
+
+	// PostedRX switches the receive path to posted guest buffers: ahead of
+	// each delivery the guest posts the addresses of its own receive
+	// buffers on its posted-RX ring, and the hypervisor copies each frame
+	// exactly once, straight into the posted page, resolving the guest
+	// address through the per-guest translation cache. False (the default)
+	// is the paper's copy path, delivered through the shared region and
+	// copied out again by the paravirtual driver.
+	PostedRX bool
+
+	// PostedTX switches the transmit path to posted scatter/gather
+	// descriptors: the guest leaves each frame in its own memory and posts
+	// only the (addr,len) descriptor on its posted-TX ring; the hypervisor
+	// resolves the address through the guest translation cache, pins the
+	// frames' pages and hands them to the device directly — no staging
+	// copy. False (the default) is the copy path through the staging ring.
+	PostedTX bool
+}
+
 // Path is one configuration brought up with n NICs.
 type Path struct {
 	Kind Kind
@@ -71,31 +100,7 @@ type Path struct {
 	// other configurations always run one guest.
 	Guests int
 
-	// BatchSize is the number of frames staged per boundary crossing on
-	// the domU-twin path (SendBurst/ReceiveBurst). 0 or 1 selects the
-	// per-packet path, which is bit-for-bit the SendOne/ReceiveOne
-	// behaviour; other configurations ignore it (their boundary is the
-	// netfront/netback ring or no boundary at all).
-	BatchSize int
-
-	// PostedRX switches the domU-twin receive path to posted guest
-	// buffers: ahead of each delivery the guest posts the addresses of its
-	// own receive buffers on its posted-RX ring, and the hypervisor copies
-	// each frame exactly once, straight into the posted page, resolving
-	// the guest address through the per-guest translation cache. False
-	// (the default) is the paper's copy path, delivered through the shared
-	// region and copied out again by the paravirtual driver. Other
-	// configurations ignore it.
-	PostedRX bool
-
-	// PostedTX switches the domU-twin transmit path to posted
-	// scatter/gather descriptors: the guest leaves each frame in its own
-	// memory and posts only the (addr,len) descriptor on its posted-TX
-	// ring; the hypervisor resolves the address through the guest
-	// translation cache, pins the frames' pages and hands them to the
-	// device directly — no staging copy. False (the default) is the
-	// copy path through the staging ring. Other configurations ignore it.
-	PostedTX bool
+	Options
 
 	// TxCount / RxCount tally packets that completed the full path.
 	TxCount uint64
@@ -1065,7 +1070,10 @@ func (p *Path) ReceiveBurstMulti(i, size, n int) (map[mem.Owner]int, error) {
 // ServiceRings crossings consumes at most `budget` descriptors — so
 // demand always exceeds service and the per-guest completion counts
 // reveal the scheduler's share decisions (proportional to
-// TwinConfig.Weights; equal when they are nil).
+// TwinConfig.Weights; equal when they are nil). Every guest sources its
+// frames from its own registered station MAC, so with the inter-guest
+// switch on none is dropped as spoofed (SendBurst and SendBurstMulti keep
+// the device MAC: the benchmark checks their wire frames byte for byte).
 // It returns the cumulative per-guest transmit counts.
 func (p *Path) SendContended(i, size, crossings, budget int) (map[mem.Owner]int, error) {
 	if p.Kind != Twin {
@@ -1075,7 +1083,7 @@ func (p *Path) SendContended(i, size, crossings, budget int) (map[mem.Owner]int,
 	d := m.Devs[i%len(m.Devs)]
 	total := make(map[mem.Owner]int, len(m.Guests))
 	for c := 0; c < crossings; c++ {
-		for _, dom := range m.Guests {
+		for g, dom := range m.Guests {
 			var pending int
 			var err error
 			if p.PostedTX {
@@ -1091,7 +1099,7 @@ func (p *Path) SendContended(i, size, crossings, budget int) (map[mem.Owner]int,
 				continue
 			}
 			var buf [core.TxRingSlots][]byte
-			frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, want)
+			frames, err := p.txFrames(buf[:0], p.guestMACs[g], size, want)
 			if err != nil {
 				return total, err
 			}
