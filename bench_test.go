@@ -19,8 +19,8 @@ import (
 	"twindrivers/internal/kernel"
 	"twindrivers/internal/netbench"
 	"twindrivers/internal/netpath"
+	"twindrivers/internal/recovery"
 	"twindrivers/internal/rewrite"
-	"twindrivers/internal/trace"
 	"twindrivers/internal/webbench"
 )
 
@@ -156,7 +156,7 @@ func BenchmarkBatchSweep(b *testing.B) {
 				var last *netbench.Result
 				for i := 0; i < b.N; i++ {
 					r, err := netbench.Run(netpath.Twin, dir, netbench.Params{
-						NumNICs: 1, Measure: 256, Batch: batch,
+						NumNICs: 1, Measure: 256, Options: netpath.Options{BatchSize: batch},
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -179,13 +179,13 @@ func BenchmarkBatchSweep(b *testing.B) {
 func BenchmarkBackendSweep(b *testing.B) {
 	for _, backend := range twindrivers.Backends() {
 		for _, dir := range []netbench.Direction{netbench.TX, netbench.RX} {
-			for _, batch := range twindrivers.BackendBatchSizes() {
+			for _, batch := range []int{1, 32} {
 				backend, dir, batch := backend, dir, batch
 				b.Run(backend+"/"+dir.String()+"/batch-"+strconv.Itoa(batch), func(b *testing.B) {
 					var last *netbench.Result
 					for i := 0; i < b.N; i++ {
 						r, err := netbench.Run(netpath.Twin, dir, netbench.Params{
-							NumNICs: 1, Measure: 256, Batch: batch, Backend: backend,
+							NumNICs: 1, Measure: 256, Options: netpath.Options{BatchSize: batch}, Backend: backend,
 						})
 						if err != nil {
 							b.Fatal(err)
@@ -210,7 +210,7 @@ func BenchmarkBackendSweep(b *testing.B) {
 // guest-TLB translation).
 func BenchmarkRXPathSweep(b *testing.B) {
 	for _, backend := range twindrivers.Backends() {
-		for _, batch := range twindrivers.RXPathBatchSizes() {
+		for _, batch := range twindrivers.BatchSizes() {
 			for _, posted := range []bool{false, true} {
 				backend, batch, posted := backend, batch, posted
 				mode := "copy"
@@ -221,8 +221,8 @@ func BenchmarkRXPathSweep(b *testing.B) {
 					var last *netbench.Result
 					for i := 0; i < b.N; i++ {
 						r, err := netbench.Run(netpath.Twin, netbench.RX, netbench.Params{
-							NumNICs: 1, Measure: 256, Batch: batch,
-							Backend: backend, PostedRX: posted,
+							NumNICs: 1, Measure: 256, Backend: backend,
+							Options: netpath.Options{BatchSize: batch, PostedRX: posted},
 						})
 						if err != nil {
 							b.Fatal(err)
@@ -250,10 +250,10 @@ func BenchmarkMultiGuestSweep(b *testing.B) {
 		for _, guests := range twindrivers.MultiGuestCounts() {
 			dir, guests := dir, guests
 			b.Run(dir.String()+"/guests-"+strconv.Itoa(guests), func(b *testing.B) {
-				var last *netbench.MultiGuestResult
+				var last *netbench.Result
 				for i := 0; i < b.N; i++ {
 					r, err := netbench.RunMultiGuest(dir, guests, netbench.Params{
-						NumNICs: 1, Measure: 128, Batch: twindrivers.MultiGuestBatch,
+						NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: twindrivers.MultiGuestBatch},
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -272,9 +272,9 @@ func BenchmarkMultiGuestSweep(b *testing.B) {
 // --- Table 1: fast-path support routine trace -------------------------------
 
 func BenchmarkTable1FastPathRoutines(b *testing.B) {
-	var last *trace.Table1
+	var last *netbench.Table1
 	for i := 0; i < b.N; i++ {
-		t, err := trace.Run(128)
+		t, err := netbench.RunTable1(128)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -339,23 +339,12 @@ func BenchmarkAblationStlbSize(b *testing.B) {
 		entries := entries
 		b.Run(sizeName(entries), func(b *testing.B) {
 			var last *netbench.Result
-			var refills float64
 			for i := 0; i < b.N; i++ {
-				p, err := netpath.New(netpath.Twin, 1, core.TwinConfig{STLBEntries: entries})
-				if err != nil {
-					b.Fatal(err)
-				}
 				// RX: the interrupt path's register page collides with the
 				// adapter page in small tables.
-				r, err := netbench.Measure(p, netbench.RX, netbench.Params{NumNICs: 1, Measure: 256})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-				refills = float64(p.T.SV.ChainRefills) / 256
+				last = measureOnce(b, netpath.Twin, netbench.RX, 1, core.TwinConfig{STLBEntries: entries})
 			}
 			b.ReportMetric(last.CyclesPerPacket, "cycles/pkt")
-			b.ReportMetric(refills, "chain-refills/pkt")
 		})
 	}
 }
@@ -511,9 +500,9 @@ func BenchmarkRecoverySweep(b *testing.B) {
 		for _, guests := range []int{1, 4} {
 			inj, guests := inj, guests
 			b.Run(inj.Name+"/guests-"+strconv.Itoa(guests), func(b *testing.B) {
-				var last *twindrivers.RecoveryMeasurement
+				var last *recovery.Measurement
 				for i := 0; i < b.N; i++ {
-					r, err := twindrivers.MeasureRecovery(inj, guests, 32)
+					r, err := netbench.RunRecovery(inj, guests, 32)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -542,7 +531,7 @@ func BenchmarkRecoveryHotPath(b *testing.B) {
 			var last *netbench.Result
 			for i := 0; i < b.N; i++ {
 				r, err := netbench.Run(netpath.Twin, netbench.TX, netbench.Params{
-					NumNICs: 1, Measure: 256, Batch: 8, Recovery: supervised,
+					NumNICs: 1, Measure: 256, Options: netpath.Options{BatchSize: 8}, Recovery: supervised,
 				})
 				if err != nil {
 					b.Fatal(err)

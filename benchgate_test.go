@@ -20,11 +20,12 @@ func TestCollectBenchKeys(t *testing.T) {
 		t.Skip("runs every sweep")
 	}
 	anchors := map[string][]string{
-		"batch":      {"e1000/tx/batch=1", "e1000/tx/batch=32", "e1000/rx/batch=1"},
 		"multiguest": {"e1000/tx/batch=16/guests=1", "e1000/tx/batch=16/guests=8", "e1000/rx/batch=16/guests=4"},
 		"recovery":   {"recovery/wild-write/guests=1/pre", "recovery/wild-write/guests=1/post"},
-		"backends":   {"e1000/tx/batch=1", "rtl8139/tx/batch=1", "rtl8139/rx/batch=32"},
 		"rxpath":     {"e1000/rx/batch=1", "e1000/rx/batch=1/posted", "rtl8139/rx/batch=32/posted"},
+		"txpath":     {"e1000/tx/batch=1", "e1000/tx/batch=32", "rtl8139/tx/batch=1", "mqnic/tx/batch=8/postedtx/q8"},
+		"mq":         {"mqnic/tx/batch=32/guests=8", "mqnic/tx/batch=32/q4/guests=8"},
+		"sched":      {"e1000/tx/batch=16/guests=8", "e1000/tx/batch=16/guests=64/w=8:1/r=4:0", "rtl8139/local/batch=16/switch"},
 	}
 	for _, area := range twindrivers.BenchAreas() {
 		b, err := twindrivers.CollectBench(io.Discard, area, true)

@@ -12,12 +12,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"twindrivers"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id (table1, fig5..fig10, batch, multiguest, effort, all)")
+	var ids []string
+	for _, e := range twindrivers.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	experiment := flag.String("experiment", "all", "experiment id ("+strings.Join(ids, ", ")+", all)")
 	quick := flag.Bool("quick", false, "fewer packets per measurement")
 	list := flag.Bool("list", false, "list experiments and exit")
 	bench := flag.String("bench", "", "directory to write BENCH_<area>.json measurement sets into (sweep experiments only)")
@@ -29,13 +34,7 @@ func main() {
 		}
 		return
 	}
-	var err error
-	if *bench != "" {
-		err = twindrivers.RunExperimentBench(os.Stdout, *experiment, *quick, *bench)
-	} else {
-		err = twindrivers.RunExperiment(os.Stdout, *experiment, *quick)
-	}
-	if err != nil {
+	if err := twindrivers.RunExperimentBench(os.Stdout, *experiment, *quick, *bench); err != nil {
 		fmt.Fprintln(os.Stderr, "twinbench:", err)
 		os.Exit(1)
 	}

@@ -24,16 +24,21 @@ func schedSuffix(weights, rates []int) string {
 }
 
 // BenchKey is the stable configuration key a Result files under in the
-// BENCH_<area>.json measurement sets: backend, direction and batch size,
-// with the posted-RX / posted-TX markers when the measurement ran a
-// posted-descriptor path. Keys survive refactors — the bench gate diffs
-// them against committed baselines.
+// BENCH_<area>.json measurement sets, derived from the parameters it ran:
+// backend, direction and batch size; the posted-RX / posted-TX markers;
+// the queue count past one; on the fan-out runners the guest count and the
+// scheduler parameters ("e1000/tx/batch=16/guests=64/w=4:2:1"); and for a
+// local stream whether the switch or the device carried it
+// ("mqnic/local/batch=16/switch"). Keys survive refactors — the bench gate
+// diffs them against committed baselines.
 func (r *Result) BenchKey() string {
-	dir := "tx"
-	if r.Direction == RX {
-		dir = "rx"
+	key := fmt.Sprintf("%s/%s/batch=%d", r.Backend, [...]string{"tx", "rx", "local"}[r.Direction], r.BatchSize)
+	if r.Direction == Local {
+		if r.Twin.Switch {
+			return key + "/switch"
+		}
+		return key + "/device"
 	}
-	key := fmt.Sprintf("%s/%s/batch=%d", r.Backend, dir, r.Batch)
 	if r.PostedRX {
 		key += "/posted"
 	}
@@ -43,10 +48,19 @@ func (r *Result) BenchKey() string {
 	if r.Queues > 1 {
 		key += fmt.Sprintf("/q%d", r.Queues)
 	}
+	if r.Guests > 0 {
+		key += fmt.Sprintf("/guests=%d", r.Guests) + schedSuffix(r.Twin.Weights, r.Twin.Rates)
+	}
 	return key
 }
 
-// BenchKey extends the Result key with the guest fan-out.
-func (r *MultiGuestResult) BenchKey() string {
-	return fmt.Sprintf("%s/guests=%d", r.Result.BenchKey(), r.Guests)
+// SchedSpec renders the scheduler configuration for reports: "equal" for
+// unit weights and no caps, otherwise the weight/rate vectors as they
+// appear in the bench key, e.g. "w=4:2:1 r=2:0".
+func (r *Result) SchedSpec() string {
+	s := strings.TrimPrefix(schedSuffix(r.Twin.Weights, r.Twin.Rates), "/")
+	if s == "" {
+		return "equal"
+	}
+	return strings.ReplaceAll(s, "/", " ")
 }

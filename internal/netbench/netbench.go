@@ -1,8 +1,15 @@
-// Package netbench is the netperf-like streaming microbenchmark of §6.2:
-// it saturates a configuration with MTU-sized packets in one direction,
-// measures per-packet cycles with the dom0/domU/Xen/e1000 attribution of
-// Figures 7 and 8, and converts them to the achievable aggregate
-// throughput and CPU utilisation of Figures 5 and 6.
+// Package netbench is the netperf-like streaming microbenchmark of §6.2
+// and every measurement built on it: it saturates a configuration with
+// MTU-sized packets, measures per-packet cycles with the
+// dom0/domU/Xen/e1000 attribution of Figures 7 and 8, and converts them
+// to the achievable aggregate throughput and CPU utilisation of Figures 5
+// and 6.
+//
+// There is one measurement. open brings a configuration up and warms it;
+// measure resets the meters, moves the measured packets and turns the
+// meters into a Result. The runners — Run, RunMultiGuest, RunSched,
+// RunVswitch, RunRecovery, RunTable1 — differ only in the drive step they
+// hand it: which netpath entry point moves the packets.
 package netbench
 
 import (
@@ -22,51 +29,90 @@ import (
 	_ "twindrivers/internal/rtl8139"
 )
 
-// Direction selects transmit or receive.
+// Direction selects the measured stream: transmit, receive, or a local
+// guest→guest stream (RunVswitch).
 type Direction int
 
 // Directions.
 const (
 	TX Direction = iota
 	RX
+	Local
 )
 
 func (d Direction) String() string {
-	if d == TX {
-		return "transmit"
-	}
-	return "receive"
+	return [...]string{"transmit", "receive", "local"}[d]
 }
 
-// Result is one measurement.
-type Result struct {
-	Config    string
-	Direction Direction
-	NumNICs   int
-	Packets   int
+// Params configures a run. Every option is declared once: the data-path
+// options are netpath's own struct and everything the twin is built with
+// is core.TwinConfig (Queues, Weights, Rates, Switch, Trace, HvSupport …).
+type Params struct {
+	NumNICs    int // 5 for Figures 5/6, 1 for the Figure 7/8 profiles (default 1)
+	PacketSize int // cost.MTU unless overridden
+	Warmup     int // packets before measurement (default 64)
+	Measure    int // measured packets (default 512); per guest on the fan-out runners
 
-	// Backend names the NIC driver model the measurement ran over.
+	// Backend selects the NIC driver model by registry name (default
+	// "e1000"). Every registered backend runs the same harness.
 	Backend string
 
-	// Batch is the number of frames crossing the virtualization boundary
-	// per transition on the domU-twin path (1 = the per-packet path).
-	Batch int
+	// Recovery attaches a recovery supervisor to the domU-twin path
+	// (default policy), making driver faults transient. The supervisor
+	// only runs when an invocation has already died, so a fault-free
+	// measurement with Recovery on is cycle-identical to one with it off
+	// (pinned by test and benchmark).
+	Recovery bool
 
-	// PostedRX reports whether the receive measurement ran the
-	// posted-buffer path (guest-posted buffers, single direct copy) or the
-	// legacy copy path.
-	PostedRX bool
+	// FlushPerPacket flushes the hardware model before every burst,
+	// modelling workloads that interleave many connections (each packet
+	// finds the caches trashed by other connections' work) — used by the
+	// web benchmark.
+	FlushPerPacket bool
 
-	// PostedTX reports whether the transmit measurement ran the posted
-	// scatter/gather descriptor path (zero-copy through the guest TLB) or
-	// the staging-copy path.
-	PostedTX bool
+	// Options are the data-path options the path runs with; BatchSize
+	// (frames per boundary crossing, Twin path) defaults to 1.
+	netpath.Options
 
-	// Queues is the effective service-queue count of the measurement
-	// (1 = the classic single-queue configuration).
+	Twin core.TwinConfig
+}
+
+func (p *Params) defaults() {
+	def(&p.NumNICs, 1)
+	def(&p.PacketSize, cost.MTU)
+	def(&p.Warmup, 64)
+	def(&p.Measure, 512)
+	def(&p.BatchSize, 1)
+	def(&p.Backend, "e1000")
+}
+
+// def gives an unset (zero) parameter its default.
+func def[T comparable](v *T, d T) {
+	var unset T
+	if *v == unset {
+		*v = d
+	}
+}
+
+// Result is one measurement. It carries the parameters it ran (defaults
+// applied), which is what BenchKey and the report tables read.
+type Result struct {
+	Params
+
+	Config    string // the configuration, named as in the figures
+	Direction Direction
+
+	// Guests is the number of guest domains sharing the NIC on the
+	// fan-out runners; 0 marks Run's single-guest stream.
+	Guests  int
+	Packets int // packets the measured phase moved, all guests together
+
+	// Queues is the effective service-queue count (1 = the classic
+	// single-queue configuration).
 	Queues int
 
-	// CyclesPerPacket is the measured total, Breakdown its attribution.
+	// CyclesPerPacket is the measured critical path, Breakdown the
+	// attribution of all the work done.
 	CyclesPerPacket float64
 	Breakdown       map[cycles.Component]float64
 
@@ -81,362 +127,133 @@ type Result struct {
 	SwitchesPerPacket   float64
 	UpcallsPerPacket    float64
 	HypercallsPerPacket float64
+
+	// PerGuest is each guest's share of the run. MaxShareErrPct is the
+	// largest relative deviation of any guest's Share from its Want, in
+	// percent; 0 under rate caps, where a capped guest's share is bounded
+	// by its rate, not its weight.
+	PerGuest       []GuestStat
+	MaxShareErrPct float64
 }
 
-// Params configures a run.
-type Params struct {
-	NumNICs    int // 5 for Figures 5/6, 1 for the Figure 7/8 profiles
-	PacketSize int // cost.MTU unless overridden
-	Warmup     int // packets before measurement (default 64)
-	Measure    int // measured packets (default 512)
-	Batch      int // frames per boundary crossing, Twin path (default 1)
-	Twin       core.TwinConfig
-
-	// PostedRX runs receive measurements over the posted-buffer path:
-	// guests post their own receive buffers ahead of delivery and the
-	// hypervisor copies each frame once, directly into the posted page.
-	// False (the default) measures the paper's copy path.
-	PostedRX bool
-
-	// PostedTX runs transmit measurements over the posted-descriptor
-	// path: guests leave frames in their own memory and post (addr,len)
-	// scatter/gather descriptors; the hypervisor pins and hands the guest
-	// pages to the device directly. False (the default) measures the
-	// staging-copy path.
-	PostedTX bool
-
-	// Backend selects the NIC driver model by registry name (default
-	// "e1000"). Every registered backend runs the same measurement
-	// harness — the backend sweep compares them.
-	Backend string
-
-	// Weights sets per-guest deficit-round-robin weights on the twin
-	// path (applied cyclically over the guest list, see
-	// core.TwinConfig.Weights) and Rates per-crossing descriptor caps.
-	// Consumed by RunSched — nil is the unit-weight, uncapped
-	// round-robin that every other measurement runs.
-	Weights []int
-	Rates   []int
-
-	// Queues asks for that many per-queue service loops on the twin path
-	// (0 = the model's native queue count; clamped by core to what the
-	// device exposes). Single-queue backends always run one queue.
-	Queues int
-
-	// Recovery attaches a recovery supervisor to the domU-twin path
-	// (default policy), making driver faults transient. The fault-free
-	// hot path is provably unchanged: the supervisor only runs when an
-	// invocation has already died, so a measurement with Recovery on is
-	// cycle-identical to one with it off (pinned by test and benchmark).
-	Recovery bool
-
-	// FlushPerPacket flushes the hardware model before every packet,
-	// modelling workloads that interleave many connections (each packet
-	// finds the caches trashed by other connections' work) — used by the
-	// web benchmark.
-	FlushPerPacket bool
-
-	// Trace attaches a telemetry tracer to the twin (see
-	// core.TwinConfig.Trace). Tracing never touches the simulated cycle
-	// meters, so a traced measurement reports the same cyc/pkt.
-	Trace *telemetry.Tracer
+// GuestStat is one guest's share of a measurement. CyclesPerPacket divides
+// an even share of all the work by the packets the guest itself moved (the
+// round-robin ring service keeps consumption fair); Share is its measured
+// fraction of all packets and Want its DRR weight's fraction of the total
+// weight.
+type GuestStat struct {
+	Guest           int // guest index (0-based)
+	Weight          int // effective DRR weight
+	Packets         uint64
+	CyclesPerPacket float64
+	Share, Want     float64
 }
 
-func (p *Params) defaults() {
-	if p.NumNICs == 0 {
-		p.NumNICs = 1
-	}
-	if p.PacketSize == 0 {
-		p.PacketSize = cost.MTU
-	}
-	if p.Warmup == 0 {
-		p.Warmup = 64
-	}
-	if p.Measure == 0 {
-		p.Measure = 512
-	}
-	if p.Batch == 0 {
-		p.Batch = 1
-	}
-	if p.Backend == "" {
-		p.Backend = "e1000"
-	}
+// drive is the step the runners differ in: move n packets (per guest)
+// over the path and return each guest's count.
+type drive func(p *netpath.Path, prm *Params, n int) (map[mem.Owner]int, error)
+
+// bench is one configuration brought up, warm and ready to measure.
+type bench struct {
+	p      *netpath.Path
+	prm    Params
+	dir    Direction
+	guests int
+	drive  drive
 }
 
-// model resolves the backend named by the params.
-func (p *Params) model() (*drivermodel.Model, error) {
-	m, ok := drivermodel.Get(p.Backend)
-	if !ok {
-		return nil, fmt.Errorf("netbench: unknown backend %q (have %v)", p.Backend, drivermodel.Names())
-	}
-	return m, nil
-}
-
-// criticalPath returns a path's measured critical-path cycle total, its
-// machine-wide breakdown and the effective queue count. With one service
-// queue both views are exactly the machine meter's. With N queues the
-// per-queue service work is metered per queue: the breakdown merges every
-// queue (total work done), while the critical path charges the non-queue
-// work plus the SLOWEST queue — the wall-clock of goroutine-per-queue
-// service loops running in parallel.
-func criticalPath(p *netpath.Path) (critical uint64, breakdown map[cycles.Component]uint64, queues int) {
-	m := p.Meter()
-	critical = m.Total()
-	breakdown = m.Breakdown()
-	queues = 1
-	if p.T == nil || p.T.QueueCount() <= 1 {
-		return
-	}
-	queues = p.T.QueueCount()
-	var slowest uint64
-	for _, qm := range p.T.QueueMeters() {
-		if t := qm.Total(); t > slowest {
-			slowest = t
-		}
-		for c, v := range qm.Breakdown() {
-			breakdown[c] += v
-		}
-	}
-	critical += slowest
-	return
-}
-
-// Run measures one configuration in one direction.
-func Run(kind netpath.Kind, dir Direction, prm Params) (*Result, error) {
+// open is the one bring-up: resolve the backend, build the path, apply the
+// data-path options, attach the supervisor when asked (its MTTR gauges
+// publish under an active telemetry session), and warm the path up.
+func open(kind netpath.Kind, dir Direction, guests int, prm Params, d drive) (*bench, error) {
 	prm.defaults()
-	if prm.Queues != 0 {
-		prm.Twin.Queues = prm.Queues
+	model, ok := drivermodel.Get(prm.Backend)
+	if !ok {
+		return nil, fmt.Errorf("netbench: unknown backend %q (have %v)", prm.Backend, drivermodel.Names())
 	}
-	if prm.Trace != nil {
-		prm.Twin.Trace = prm.Trace
-	}
-	model, err := prm.model()
+	p, err := netpath.NewMultiModel(kind, prm.NumNICs, guests, model, prm.Twin)
 	if err != nil {
 		return nil, err
 	}
-	p, err := netpath.NewMultiModel(kind, prm.NumNICs, 1, model, prm.Twin)
-	if err != nil {
-		return nil, err
-	}
-	attachRecovery(p, prm)
-	return Measure(p, dir, prm)
-}
-
-// attachRecovery wires a supervisor onto a twin path when asked; under
-// an active telemetry session the supervisor's MTTR gauges publish too.
-func attachRecovery(p *netpath.Path, prm Params) {
+	p.Options = prm.Options
 	if prm.Recovery && p.T != nil {
 		p.Recovery = recovery.New(p.M, p.T, recovery.Policy{})
 		if s := telemetry.ActiveSession(); s != nil {
 			p.Recovery.PublishMetrics(s.Registry)
 		}
 	}
+	b := &bench{p: p, prm: prm, dir: dir, guests: guests, drive: d}
+	if _, err := d(p, &b.prm, prm.Warmup); err != nil {
+		return nil, fmt.Errorf("netbench: warmup: %w", err)
+	}
+	return b, nil
 }
 
-// Measure runs the benchmark over an existing path (callers can pre-warm
-// or reuse machines).
-func Measure(p *netpath.Path, dir Direction, prm Params) (*Result, error) {
-	prm.defaults()
-	p.BatchSize = prm.Batch
-	p.PostedRX = prm.PostedRX
-	p.PostedTX = prm.PostedTX
-	// step moves up to prm.Batch packets; with Batch 1 it is exactly the
-	// per-packet loop (FlushPerPacket then flushes before every packet,
-	// with larger batches before every burst).
-	step := func(i, want int) error {
-		if prm.FlushPerPacket {
-			p.Meter().FlushHW()
-		}
-		var done int
-		var err error
-		if dir == TX {
-			done, err = p.SendBurst(i, prm.PacketSize, want)
-		} else {
-			done, err = p.ReceiveBurst(i, prm.PacketSize, want)
-		}
-		if err == nil && done != want {
-			err = fmt.Errorf("short burst: %d of %d", done, want)
-		}
-		return err
-	}
-	run := func(total int, phase string) error {
-		for i := 0; i < total; i += prm.Batch {
-			want := prm.Batch
-			if total-i < want {
-				want = total - i
-			}
-			if err := step(i, want); err != nil {
-				return fmt.Errorf("netbench: %s packet %d: %w", phase, i, err)
-			}
-		}
-		return nil
-	}
-	if err := run(prm.Warmup, "warmup"); err != nil {
-		return nil, err
-	}
+// measure is the one measurement epoch and the one place a meter becomes a
+// Result: reset the meters (warm state stays), move the measured packets,
+// then divide. The critical path prices a packet; the breakdown and the
+// per-guest shares attribute all the work done.
+func (b *bench) measure() (*Result, error) {
+	p := b.p
 	p.ResetMeasurement()
 	upcalls0 := uint64(0)
 	if p.T != nil {
 		upcalls0 = p.T.UpcallsPerformed()
 	}
-	if err := run(prm.Measure, "measure"); err != nil {
-		return nil, err
+	moved, err := b.drive(p, &b.prm, b.prm.Measure)
+	if err != nil {
+		return nil, fmt.Errorf("netbench: measure: %w", err)
+	}
+	total := 0
+	for _, c := range moved {
+		total += c
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("netbench: the measured phase moved no packets")
 	}
 
 	critical, breakdown, queues := criticalPath(p)
-	n := float64(prm.Measure)
+	n := float64(total)
 	res := &Result{
-		Config:          p.Kind.String(),
-		Direction:       dir,
-		NumNICs:         prm.NumNICs,
-		Packets:         prm.Measure,
-		Backend:         p.M.Model.Name,
-		Batch:           prm.Batch,
-		PostedRX:        prm.PostedRX,
-		PostedTX:        prm.PostedTX,
-		Queues:          queues,
-		CyclesPerPacket: float64(critical) / n,
-		Breakdown:       make(map[cycles.Component]float64),
+		Params:              b.prm,
+		Config:              p.Kind.String(),
+		Direction:           b.dir,
+		Guests:              b.guests,
+		Packets:             total,
+		Queues:              queues,
+		CyclesPerPacket:     float64(critical) / n,
+		Breakdown:           make(map[cycles.Component]float64),
+		SwitchesPerPacket:   float64(p.M.HV.Switches) / n,
+		HypercallsPerPacket: float64(p.M.HV.Hypercalls) / n,
 	}
+	var work uint64
 	for comp, c := range breakdown {
 		res.Breakdown[comp] = float64(c) / n
+		work += c
 	}
-	res.SwitchesPerPacket = float64(p.M.HV.Switches) / n
-	res.HypercallsPerPacket = float64(p.M.HV.Hypercalls) / n
+	res.ThroughputMbps, res.CPUUtil = throughput(res.CyclesPerPacket, b.prm.NumNICs, b.prm.PacketSize)
+
+	weight := func(mem.Owner) int { return 1 }
 	if p.T != nil {
 		res.UpcallsPerPacket = float64(p.T.UpcallsPerformed()-upcalls0) / n
+		weight = p.T.GuestWeight
 	}
-	res.ThroughputMbps, res.CPUUtil = Throughput(res.CyclesPerPacket, prm.NumNICs, prm.PacketSize)
-	if s := telemetry.ActiveSession(); s != nil {
-		s.Folded.AddBreakdown(res.BenchKey(), breakdown)
+	totalW := 0
+	for _, dom := range p.M.Guests {
+		totalW += weight(dom.ID)
 	}
-	return res, nil
-}
-
-// GuestStat is one guest's share of a multi-guest measurement. Its
-// CyclesPerPacket divides an even share of the CPU (the round-robin ring
-// service keeps consumption fair) by the packets the guest itself moved.
-type GuestStat struct {
-	Guest           int // guest index (0-based)
-	Packets         uint64
-	CyclesPerPacket float64
-}
-
-// MultiGuestResult is a Result plus the per-guest view of a fan-out run.
-type MultiGuestResult struct {
-	*Result
-	Guests   int
-	PerGuest []GuestStat
-}
-
-// RunMultiGuest measures the domU-twin path with guests guest domains
-// sharing the NIC: each guest stages Batch-frame bursts in its own
-// transmit ring (or receives Batch-frame deliveries), and one boundary
-// crossing per round services every guest round-robin. Measure counts
-// packets per guest; the Result's aggregate figures cover all guests and
-// PerGuest carries each guest's packets and effective cycles/packet.
-func RunMultiGuest(dir Direction, guests int, prm Params) (*MultiGuestResult, error) {
-	prm.defaults()
-	if prm.Queues != 0 {
-		prm.Twin.Queues = prm.Queues
-	}
-	if prm.Trace != nil {
-		prm.Twin.Trace = prm.Trace
-	}
-	if guests < 1 {
-		guests = 1
-	}
-	model, err := prm.model()
-	if err != nil {
-		return nil, err
-	}
-	p, err := netpath.NewMultiModel(netpath.Twin, prm.NumNICs, guests, model, prm.Twin)
-	if err != nil {
-		return nil, err
-	}
-	p.PostedRX = prm.PostedRX
-	p.PostedTX = prm.PostedTX
-	attachRecovery(p, prm)
-	perGuest := make(map[mem.Owner]uint64)
-	run := func(total int, phase string, record bool) error {
-		for moved := 0; moved < total; {
-			burst := prm.Batch
-			if total-moved < burst {
-				burst = total - moved
-			}
-			if prm.FlushPerPacket {
-				p.Meter().FlushHW()
-			}
-			var got map[mem.Owner]int
-			var err error
-			if dir == TX {
-				got, err = p.SendBurstMulti(0, prm.PacketSize, burst)
-			} else {
-				got, err = p.ReceiveBurstMulti(0, prm.PacketSize, burst)
-			}
-			if err != nil {
-				return fmt.Errorf("netbench: multiguest %s packet %d: %w", phase, moved, err)
-			}
-			for id, n := range got {
-				if n != burst {
-					return fmt.Errorf("netbench: multiguest %s: guest %d moved %d of %d", phase, id, n, burst)
-				}
-				if record {
-					perGuest[id] += uint64(n)
-				}
-			}
-			moved += burst
-		}
-		return nil
-	}
-	if err := run(prm.Warmup, "warmup", false); err != nil {
-		return nil, err
-	}
-	p.ResetMeasurement()
-	upcalls0 := p.T.UpcallsPerformed()
-	if err := run(prm.Measure, "measure", true); err != nil {
-		return nil, err
-	}
-
-	critical, breakdown, queues := criticalPath(p)
-	totalPkts := uint64(0)
-	for _, n := range perGuest {
-		totalPkts += n
-	}
-	n := float64(totalPkts)
-	res := &MultiGuestResult{
-		Result: &Result{
-			Config:          p.Kind.String(),
-			Direction:       dir,
-			NumNICs:         prm.NumNICs,
-			Packets:         int(totalPkts),
-			Backend:         p.M.Model.Name,
-			Batch:           prm.Batch,
-			PostedRX:        prm.PostedRX,
-			PostedTX:        prm.PostedTX,
-			Queues:          queues,
-			CyclesPerPacket: float64(critical) / n,
-			Breakdown:       make(map[cycles.Component]float64),
-		},
-		Guests: guests,
-	}
-	for comp, c := range breakdown {
-		res.Breakdown[comp] = float64(c) / n
-	}
-	res.SwitchesPerPacket = float64(p.M.HV.Switches) / n
-	res.HypercallsPerPacket = float64(p.M.HV.Hypercalls) / n
-	res.UpcallsPerPacket = float64(p.T.UpcallsPerformed()-upcalls0) / n
-	res.ThroughputMbps, res.CPUUtil = Throughput(res.CyclesPerPacket, prm.NumNICs, prm.PacketSize)
-	var totalWork uint64
-	for _, c := range breakdown {
-		totalWork += c
-	}
-	share := float64(totalWork) / float64(guests)
+	share := float64(work) / float64(len(p.M.Guests))
 	for g, dom := range p.M.Guests {
-		pkts := perGuest[dom.ID]
-		st := GuestStat{Guest: g, Packets: pkts}
-		if pkts > 0 {
-			st.CyclesPerPacket = share / float64(pkts)
+		w, pkts := weight(dom.ID), moved[dom.ID]
+		st := GuestStat{
+			Guest: g, Weight: w, Packets: uint64(pkts),
+			Share: float64(pkts) / n, Want: float64(w) / float64(totalW),
+		}
+		if st.Packets > 0 {
+			st.CyclesPerPacket = share / float64(st.Packets)
+		}
+		if len(b.prm.Twin.Rates) == 0 && st.Want > 0 {
+			res.MaxShareErrPct = max(res.MaxShareErrPct, 100*max(st.Share-st.Want, st.Want-st.Share)/st.Want)
 		}
 		res.PerGuest = append(res.PerGuest, st)
 	}
@@ -446,10 +263,198 @@ func RunMultiGuest(dir Direction, guests int, prm Params) (*MultiGuestResult, er
 	return res, nil
 }
 
-// Throughput converts a per-packet cycle cost into achievable throughput
+// criticalPath returns a path's measured critical-path cycle total, its
+// machine-wide breakdown and the effective queue count. With one service
+// queue both views are exactly the machine meter's. With N queues the
+// per-queue service work is metered per queue: the breakdown merges every
+// queue (total work done), while the critical path charges the non-queue
+// work plus the SLOWEST queue — each queue's meter is its own simulated
+// core, so the queues' sweeps overlap on the simulated clock.
+func criticalPath(p *netpath.Path) (critical uint64, breakdown map[cycles.Component]uint64, queues int) {
+	m := p.Meter()
+	critical, breakdown, queues = m.Total(), m.Breakdown(), 1
+	if p.T == nil || p.T.QueueCount() <= 1 {
+		return
+	}
+	var slowest uint64
+	for _, qm := range p.T.QueueMeters() {
+		slowest = max(slowest, qm.Total())
+		for c, v := range qm.Breakdown() {
+			breakdown[c] += v
+		}
+	}
+	return critical + slowest, breakdown, p.T.QueueCount()
+}
+
+// run opens a configuration and takes its one measurement.
+func run(kind netpath.Kind, dir Direction, guests int, prm Params, d drive) (*Result, error) {
+	b, err := open(kind, dir, guests, prm, d)
+	if err != nil {
+		return nil, err
+	}
+	return b.measure()
+}
+
+// bursts is the drive of the burst runners: n packets in BatchSize-frame
+// steps (with BatchSize 1 exactly the per-packet loop), the hardware model
+// flushed before each step under FlushPerPacket, and every guest the step
+// names required to have moved the whole step. step is handed the packet
+// offset, which SendBurst/ReceiveBurst rotate the NICs by.
+func bursts(step func(p *netpath.Path, i, size, n int) (map[mem.Owner]int, error)) drive {
+	return func(p *netpath.Path, prm *Params, total int) (map[mem.Owner]int, error) {
+		moved := make(map[mem.Owner]int)
+		for i := 0; i < total; i += prm.BatchSize {
+			want := min(prm.BatchSize, total-i)
+			if prm.FlushPerPacket {
+				p.Meter().FlushHW()
+			}
+			got, err := step(p, i, prm.PacketSize, want)
+			if err != nil {
+				return nil, fmt.Errorf("packet %d: %w", i, err)
+			}
+			for id, c := range got {
+				if c != want {
+					return nil, fmt.Errorf("packet %d: guest %d moved %d of %d", i, id, c, want)
+				}
+				moved[id] += c
+			}
+		}
+		return moved, nil
+	}
+}
+
+// stream and fanout are the two burst steps: one guest through
+// SendBurst/ReceiveBurst, every guest through their Multi forms.
+func stream(dir Direction) drive {
+	return bursts(func(p *netpath.Path, i, size, n int) (map[mem.Owner]int, error) {
+		burst := p.SendBurst
+		if dir == RX {
+			burst = p.ReceiveBurst
+		}
+		done, err := burst(i, size, n)
+		return map[mem.Owner]int{p.M.DomU.ID: done}, err
+	})
+}
+
+func fanout(dir Direction) drive {
+	return bursts(func(p *netpath.Path, _, size, n int) (map[mem.Owner]int, error) {
+		if dir == RX {
+			return p.ReceiveBurstMulti(0, size, n)
+		}
+		return p.SendBurstMulti(0, size, n)
+	})
+}
+
+// Run measures one configuration in one direction: a single guest's
+// stream, Measure packets in BatchSize-frame bursts.
+func Run(kind netpath.Kind, dir Direction, prm Params) (*Result, error) {
+	return run(kind, dir, 0, prm, stream(dir))
+}
+
+// RunMultiGuest measures the domU-twin path with guests guest domains
+// sharing the NIC: each guest stages BatchSize-frame bursts in its own
+// transmit ring (or receives BatchSize-frame deliveries), and one boundary
+// crossing per round services every guest round-robin. Measure counts
+// packets per guest; the aggregate figures cover all guests and PerGuest
+// carries each guest's packets and effective cycles/packet.
+func RunMultiGuest(dir Direction, guests int, prm Params) (*Result, error) {
+	return run(netpath.Twin, dir, max(guests, 1), prm, fanout(dir))
+}
+
+// RunSched measures the contended transmit workload the DRR scheduler
+// exists for: every guest's ring is kept topped up and each boundary
+// crossing consumes at most BatchSize descriptors per guest on average
+// (the crossing budget is BatchSize×guests), so demand always exceeds
+// service and the per-guest completion counts ARE the scheduler's share
+// decisions. Twin.Weights and Twin.Rates configure the scheduler; with
+// both nil every guest weighs 1 (plain round-robin), the baseline row.
+func RunSched(guests int, prm Params) (*Result, error) {
+	return run(netpath.Twin, TX, max(guests, 1), prm,
+		func(p *netpath.Path, prm *Params, n int) (map[mem.Owner]int, error) {
+			return p.SendContended(0, prm.PacketSize, max(n/prm.BatchSize, 1), prm.BatchSize*len(p.M.Guests))
+		})
+}
+
+// RunVswitch measures a two-guest domU-twin configuration moving Measure
+// frames from guest 0 to guest 1: with Twin.Switch on, through the
+// inter-guest L2 switch (dom0-side classify + copy, device untouched);
+// with it off, hairpinned through the device (transmit to the wire,
+// re-inject, interrupt, receive demux).
+func RunVswitch(prm Params) (*Result, error) {
+	return run(netpath.Twin, Local, 2, prm,
+		func(p *netpath.Path, prm *Params, n int) (map[mem.Owner]int, error) {
+			done, err := p.SendLocal(0, prm.PacketSize, n, 0, 1) // all n, or an error
+			return map[mem.Owner]int{p.M.Guests[1].ID: done}, err
+		})
+}
+
+// RunRecovery runs one recovery scenario: bring up a twin serving guests
+// guests under a supervisor, measure the fault-free cycles/packet, inject
+// one fault type, let the traffic trip it and recover transparently, then
+// measure again. perGuest is the packets-per-guest of each traffic phase,
+// moved in one burst on the path the injected fault sits on: transmit for
+// the wild write (it trips on the next xmit invocation), receive for the
+// RX-cleaner corruptions (they trip on the next interrupt).
+func RunRecovery(inj recovery.Injector, guests, perGuest int) (*recovery.Measurement, error) {
+	dir := TX
+	if inj.TriggerOnRx {
+		dir = RX
+	}
+	b, err := open(netpath.Twin, dir, guests, Params{
+		Warmup: perGuest, Measure: perGuest, Recovery: true,
+		Options: netpath.Options{BatchSize: perGuest},
+		Twin:    core.TwinConfig{Watchdog: 200_000},
+	}, fanout(dir))
+	if err != nil {
+		return nil, err
+	}
+	p := b.p
+	pre, err := b.measure()
+	if err != nil {
+		return nil, fmt.Errorf("pre-fault: %w", err)
+	}
+
+	// Inject, then keep the traffic flowing: the supervisor recovers the
+	// twin in-line and the burst completes.
+	if err := inj.Inject(p.M, p.T, p.M.Devs[0]); err != nil {
+		return nil, err
+	}
+	lost0, retried0 := p.LostRx, p.RetriedTx
+	moved, err := b.drive(p, &b.prm, perGuest)
+	if err != nil {
+		return nil, fmt.Errorf("faulted burst did not resume: %w", err)
+	}
+	if p.Recovery.Recoveries() != 1 {
+		return nil, fmt.Errorf("expected exactly one recovery, saw %d", p.Recovery.Recoveries())
+	}
+	post, err := b.measure()
+	if err != nil {
+		return nil, fmt.Errorf("post-fault: %w", err)
+	}
+
+	m := &recovery.Measurement{
+		Fault:      inj.Name,
+		Guests:     guests,
+		MTTRCycles: p.Recovery.Events[0].MTTRCycles,
+		LostRx:     p.LostRx - lost0,
+		RetriedTx:  p.RetriedTx - retried0,
+		PreCPP:     pre.CyclesPerPacket,
+		PostCPP:    post.CyclesPerPacket,
+	}
+	for _, c := range moved {
+		m.Delivered += uint64(c)
+	}
+	// Fault attribution for the report: what actually faulted, rendered.
+	for _, rec := range p.T.FaultLog() {
+		m.FaultLog = append(m.FaultLog, rec.String())
+	}
+	return m, nil
+}
+
+// throughput converts a per-packet cycle cost into achievable throughput
 // (Mb/s) and the CPU utilisation at that throughput: the CPU can push
 // CPUHz/cpp packets per second; the wire can carry lineRate·n.
-func Throughput(cpp float64, nNICs, pktSize int) (mbps, util float64) {
+func throughput(cpp float64, nNICs, pktSize int) (mbps, util float64) {
 	if cpp <= 0 {
 		return 0, 0
 	}

@@ -174,7 +174,7 @@ func TestUpcallSweep(t *testing.T) {
 // TestThroughputFunction checks the cycle→throughput conversion.
 func TestThroughputFunction(t *testing.T) {
 	// CPU-limited: 30000 cycles/packet can push 100k pkts/s = 1200 Mb/s.
-	mbps, util := Throughput(30000, 5, cost.MTU)
+	mbps, util := throughput(30000, 5, cost.MTU)
 	if util != 1.0 {
 		t.Errorf("util = %v", util)
 	}
@@ -182,7 +182,7 @@ func TestThroughputFunction(t *testing.T) {
 		t.Errorf("mbps = %v", mbps)
 	}
 	// Line-limited: 1000 cycles/packet saturates 5 NICs below full CPU.
-	mbps, util = Throughput(1000, 5, cost.MTU)
+	mbps, util = throughput(1000, 5, cost.MTU)
 	if mbps != cost.NICLineRateMbps*5 {
 		t.Errorf("line-limited mbps = %v", mbps)
 	}
@@ -229,7 +229,7 @@ func TestBatchSweepMonotonic(t *testing.T) {
 		}
 		prev := base
 		for _, batch := range []int{1, 2, 4, 8, 16, 32} {
-			r, err := Run(netpath.Twin, dir, Params{NumNICs: 1, Measure: 128, Batch: batch})
+			r, err := Run(netpath.Twin, dir, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: batch}})
 			if err != nil {
 				t.Fatalf("%v batch=%d: %v", dir, batch, err)
 			}
@@ -239,7 +239,7 @@ func TestBatchSweepMonotonic(t *testing.T) {
 			}
 			if r.CyclesPerPacket > prev.CyclesPerPacket {
 				t.Errorf("%v: batch=%d %.2f cyc/pkt > batch=%d %.2f (not monotone)",
-					dir, batch, r.CyclesPerPacket, prev.Batch, prev.CyclesPerPacket)
+					dir, batch, r.CyclesPerPacket, prev.BatchSize, prev.CyclesPerPacket)
 			}
 			prev = r
 		}
@@ -249,11 +249,11 @@ func TestBatchSweepMonotonic(t *testing.T) {
 // TestBatchAmortizesHypercalls: the transmit path's hypercall rate must
 // fall as 1/batch, and batch=32 must be measurably cheaper than batch=1.
 func TestBatchAmortizesHypercalls(t *testing.T) {
-	r1, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Batch: 1})
+	r1, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r32, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Batch: 32})
+	r32, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: 32}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +276,11 @@ func TestBatchAmortizesHypercalls(t *testing.T) {
 // service keeps the per-guest packet counts exactly fair.
 func TestMultiGuestScalesFlat(t *testing.T) {
 	for _, dir := range []Direction{TX, RX} {
-		single, err := RunMultiGuest(dir, 1, Params{NumNICs: 1, Measure: 96, Batch: 16})
+		single, err := RunMultiGuest(dir, 1, Params{NumNICs: 1, Measure: 96, Options: netpath.Options{BatchSize: 16}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		four, err := RunMultiGuest(dir, 4, Params{NumNICs: 1, Measure: 96, Batch: 16})
+		four, err := RunMultiGuest(dir, 4, Params{NumNICs: 1, Measure: 96, Options: netpath.Options{BatchSize: 16}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,11 +310,11 @@ func TestMultiGuestScalesFlat(t *testing.T) {
 // stays in the same neighbourhood as Measure over the batched SendBurst
 // (sanity against the fan-out harness distorting the baseline).
 func TestMultiGuestSingleMatchesBurst(t *testing.T) {
-	mg, err := RunMultiGuest(TX, 1, Params{NumNICs: 1, Measure: 128, Batch: 16})
+	mg, err := RunMultiGuest(TX, 1, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Batch: 16})
+	plain, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +332,11 @@ func TestMultiGuestSingleMatchesBurst(t *testing.T) {
 func TestRecoveryHotPathUnchanged(t *testing.T) {
 	for _, dir := range []Direction{TX, RX} {
 		for _, batch := range []int{1, 8} {
-			plain, err := Run(netpath.Twin, dir, Params{NumNICs: 1, Measure: 128, Batch: batch})
+			plain, err := Run(netpath.Twin, dir, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: batch}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sup, err := Run(netpath.Twin, dir, Params{NumNICs: 1, Measure: 128, Batch: batch, Recovery: true})
+			sup, err := Run(netpath.Twin, dir, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: batch}, Recovery: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,11 +355,11 @@ func TestRecoveryHotPathUnchanged(t *testing.T) {
 		}
 	}
 	// The multi-guest fan-out path, same contract.
-	plain, err := RunMultiGuest(TX, 4, Params{NumNICs: 1, Measure: 64, Batch: 16})
+	plain, err := RunMultiGuest(TX, 4, Params{NumNICs: 1, Measure: 64, Options: netpath.Options{BatchSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := RunMultiGuest(TX, 4, Params{NumNICs: 1, Measure: 64, Batch: 16, Recovery: true})
+	sup, err := RunMultiGuest(TX, 4, Params{NumNICs: 1, Measure: 64, Options: netpath.Options{BatchSize: 16}, Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,13 @@ func TestPostedRXCheaperThanCopy(t *testing.T) {
 	for _, backend := range drivermodel.Names() {
 		for _, batch := range []int{1, 8, 32} {
 			copyR, err := Run(netpath.Twin, RX, Params{
-				NumNICs: 1, Measure: 128, Batch: batch, Backend: backend,
+				NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: batch}, Backend: backend,
 			})
 			if err != nil {
 				t.Fatalf("%s copy batch=%d: %v", backend, batch, err)
 			}
 			postR, err := Run(netpath.Twin, RX, Params{
-				NumNICs: 1, Measure: 128, Batch: batch, Backend: backend, PostedRX: true,
+				NumNICs: 1, Measure: 128, Backend: backend, Options: netpath.Options{BatchSize: batch, PostedRX: true},
 			})
 			if err != nil {
 				t.Fatalf("%s posted batch=%d: %v", backend, batch, err)
@@ -42,11 +42,11 @@ func TestPostedRXCheaperThanCopy(t *testing.T) {
 // to the copy-mode default — the posted machinery (ring allocation, guest
 // TLB) costs nothing until a guest posts.
 func TestPostedRXLeavesCopyModeUntouched(t *testing.T) {
-	a, err := Run(netpath.Twin, RX, Params{NumNICs: 1, Measure: 128, Batch: 8})
+	a, err := Run(netpath.Twin, RX, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(netpath.Twin, RX, Params{NumNICs: 1, Measure: 128, Batch: 8, PostedRX: false})
+	b, err := Run(netpath.Twin, RX, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: 8, PostedRX: false}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestPostedRXLeavesCopyModeUntouched(t *testing.T) {
 // guest posts its own buffers, every guest gets its full delivery count,
 // and the aggregate stays below the copy-mode aggregate.
 func TestPostedRXMultiGuest(t *testing.T) {
-	copyR, err := RunMultiGuest(RX, 4, Params{NumNICs: 1, Measure: 64, Batch: 16})
+	copyR, err := RunMultiGuest(RX, 4, Params{NumNICs: 1, Measure: 64, Options: netpath.Options{BatchSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	postR, err := RunMultiGuest(RX, 4, Params{NumNICs: 1, Measure: 64, Batch: 16, PostedRX: true})
+	postR, err := RunMultiGuest(RX, 4, Params{NumNICs: 1, Measure: 64, Options: netpath.Options{BatchSize: 16, PostedRX: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,11 @@
 package netbench
 
-import "testing"
+import (
+	"testing"
+
+	"twindrivers/internal/core"
+	"twindrivers/internal/netpath"
+)
 
 // The weighted-fair scheduling and inter-guest switch measurements:
 // shares track weights at scale, rate caps bind, and the dom0-side
@@ -11,8 +16,8 @@ import "testing"
 // within 5% of its weight share.
 func TestSchedWeightedSharesAtScale(t *testing.T) {
 	res, err := RunSched(64, Params{
-		NumNICs: 1, Measure: 128, Warmup: 32, Batch: 16,
-		Weights: []int{4, 2, 1},
+		NumNICs: 1, Measure: 128, Warmup: 32, Options: netpath.Options{BatchSize: 16},
+		Twin: core.TwinConfig{Weights: []int{4, 2, 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +43,7 @@ func TestSchedWeightedSharesAtScale(t *testing.T) {
 // TestSchedEqualWeightsKeyAndShares: the unweighted run reports equal
 // shares and files under a key with no scheduler suffix.
 func TestSchedEqualWeightsKeyAndShares(t *testing.T) {
-	res, err := RunSched(8, Params{NumNICs: 1, Measure: 64, Warmup: 16, Batch: 16})
+	res, err := RunSched(8, Params{NumNICs: 1, Measure: 64, Warmup: 16, Options: netpath.Options{BatchSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +65,8 @@ func TestSchedEqualWeightsKeyAndShares(t *testing.T) {
 // slack — and the key carries both parameter suffixes.
 func TestSchedRateLimitedRun(t *testing.T) {
 	res, err := RunSched(4, Params{
-		NumNICs: 1, Measure: 64, Warmup: 16, Batch: 16,
-		Weights: []int{8, 1, 1, 1},
-		Rates:   []int{2, 0, 0, 0},
+		NumNICs: 1, Measure: 64, Warmup: 16, Options: netpath.Options{BatchSize: 16},
+		Twin: core.TwinConfig{Weights: []int{8, 1, 1, 1}, Rates: []int{2, 0, 0, 0}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,18 +93,28 @@ func TestSchedRateLimitedRun(t *testing.T) {
 // than the device hairpin.
 func TestVswitchCheaperThanDevice(t *testing.T) {
 	for _, backend := range []string{"e1000", "rtl8139", "mqnic"} {
-		res, err := RunVswitch(Params{
-			NumNICs: 1, Measure: 64, Warmup: 16, Batch: 16, Backend: backend,
-		})
+		prm := Params{NumNICs: 1, Measure: 64, Warmup: 16, Options: netpath.Options{BatchSize: 16}, Backend: backend}
+		device, err := RunVswitch(prm)
 		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
+			t.Fatalf("%s device: %v", backend, err)
 		}
-		if res.SwitchCPP >= res.DeviceCPP {
+		prm.Twin.Switch = true
+		switched, err := RunVswitch(prm)
+		if err != nil {
+			t.Fatalf("%s switched: %v", backend, err)
+		}
+		if got, want := switched.BenchKey(), backend+"/local/batch=16/switch"; got != want {
+			t.Fatalf("BenchKey = %q, want %q", got, want)
+		}
+		if switched.Packets != 64 || device.Packets != 64 {
+			t.Fatalf("%s: moved %d switched, %d through the device, want 64 each", backend, switched.Packets, device.Packets)
+		}
+		if switched.CyclesPerPacket >= device.CyclesPerPacket {
 			t.Fatalf("%s: switch %.0f cyc/pkt not below device hairpin %.0f",
-				backend, res.SwitchCPP, res.DeviceCPP)
+				backend, switched.CyclesPerPacket, device.CyclesPerPacket)
 		}
-		if res.Speedup < 1.05 {
-			t.Fatalf("%s: speedup %.3fx not measurable", backend, res.Speedup)
+		if device.CyclesPerPacket/switched.CyclesPerPacket < 1.05 {
+			t.Fatalf("%s: speedup %.3fx not measurable", backend, device.CyclesPerPacket/switched.CyclesPerPacket)
 		}
 	}
 }

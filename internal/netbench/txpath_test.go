@@ -16,13 +16,13 @@ func TestPostedTXCheaperThanCopy(t *testing.T) {
 	for _, backend := range drivermodel.Names() {
 		for _, batch := range []int{1, 8, 32} {
 			copyR, err := Run(netpath.Twin, TX, Params{
-				NumNICs: 1, Measure: 128, Batch: batch, Backend: backend,
+				NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: batch}, Backend: backend,
 			})
 			if err != nil {
 				t.Fatalf("%s copy batch=%d: %v", backend, batch, err)
 			}
 			postR, err := Run(netpath.Twin, TX, Params{
-				NumNICs: 1, Measure: 128, Batch: batch, Backend: backend, PostedTX: true,
+				NumNICs: 1, Measure: 128, Backend: backend, Options: netpath.Options{BatchSize: batch, PostedTX: true},
 			})
 			if err != nil {
 				t.Fatalf("%s posted batch=%d: %v", backend, batch, err)
@@ -42,11 +42,11 @@ func TestPostedTXCheaperThanCopy(t *testing.T) {
 // cycle-identical to the copy-mode default — the posted-TX machinery
 // (ring allocation, pin table) costs nothing until a guest posts.
 func TestPostedTXLeavesCopyModeUntouched(t *testing.T) {
-	a, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Batch: 8})
+	a, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Batch: 8, PostedTX: false})
+	b, err := Run(netpath.Twin, TX, Params{NumNICs: 1, Measure: 128, Options: netpath.Options{BatchSize: 8, PostedTX: false}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestPostedTXLeavesCopyModeUntouched(t *testing.T) {
 // guest posts its own descriptors, every guest gets its full transmit
 // count, and the aggregate stays below the copy-mode aggregate.
 func TestPostedTXMultiGuest(t *testing.T) {
-	copyR, err := RunMultiGuest(TX, 4, Params{NumNICs: 1, Measure: 64, Batch: 16})
+	copyR, err := RunMultiGuest(TX, 4, Params{NumNICs: 1, Measure: 64, Options: netpath.Options{BatchSize: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	postR, err := RunMultiGuest(TX, 4, Params{NumNICs: 1, Measure: 64, Batch: 16, PostedTX: true})
+	postR, err := RunMultiGuest(TX, 4, Params{NumNICs: 1, Measure: 64, Options: netpath.Options{BatchSize: 16, PostedTX: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

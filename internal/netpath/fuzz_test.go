@@ -27,13 +27,7 @@ func FuzzFrame(f *testing.F) {
 		p := &Path{rxSeq: seq}
 		mac := [6]byte{0x02, 0xFA, 0xCE, 0, 0, 1}
 		for _, rx := range []bool{true, false} {
-			var frame []byte
-			var err error
-			if rx {
-				frame, err = p.frameTo(mac, size)
-			} else {
-				frame, err = p.frameFrom(mac, size)
-			}
+			frame, err := p.buildFrame(mac, rx, size)
 			if size < 14 {
 				if err == nil {
 					t.Fatalf("size %d below the Ethernet header accepted", size)

@@ -160,38 +160,21 @@ func (a *postedArena) take(n int) []core.RxPost {
 	return bufs
 }
 
-// arenaFor lazily builds the posted-buffer arena of one guest.
-func (p *Path) arenaFor(dom *xen.Domain) *postedArena {
-	if p.rxArena == nil {
-		p.rxArena = make(map[mem.Owner]*postedArena)
-	}
-	a := p.rxArena[dom.ID]
+// arena lazily builds one guest's pool of postable buffers in arenas: n
+// buffers of size bytes, recycled round-robin. Receive arenas hold
+// core.RxRingSlots buffers of RxSlotBytes, transmit arenas core.TxRingSlots
+// of core.TxSlotBytes. The posted ring caps outstanding descriptors at the
+// same count and every round services the ring to empty before the arena
+// wraps, so a buffer is never rewritten while a descriptor naming it is
+// still pending.
+func (p *Path) arena(arenas map[mem.Owner]*postedArena, dom *xen.Domain, n int, size uint32) *postedArena {
+	a := arenas[dom.ID]
 	if a == nil {
 		a = &postedArena{}
-		for i := 0; i < core.RxRingSlots; i++ {
-			a.slots = append(a.slots, p.M.HV.AllocHeap(dom, RxSlotBytes))
+		for i := 0; i < n; i++ {
+			a.slots = append(a.slots, p.M.HV.AllocHeap(dom, size))
 		}
-		p.rxArena[dom.ID] = a
-	}
-	return a
-}
-
-// txArenaFor lazily builds the postable transmit-buffer arena of one
-// guest: core.TxRingSlots buffers, recycled round-robin. The posted-TX
-// ring caps outstanding descriptors at the same count and every round
-// services the ring to empty before the arena wraps, so a buffer is never
-// rewritten while a descriptor naming it is still pending.
-func (p *Path) txArenaFor(dom *xen.Domain) *postedArena {
-	if p.txArena == nil {
-		p.txArena = make(map[mem.Owner]*postedArena)
-	}
-	a := p.txArena[dom.ID]
-	if a == nil {
-		a = &postedArena{}
-		for i := 0; i < core.TxRingSlots; i++ {
-			a.slots = append(a.slots, p.M.HV.AllocHeap(dom, core.TxSlotBytes))
-		}
-		p.txArena[dom.ID] = a
+		arenas[dom.ID] = a
 	}
 	return a
 }
@@ -199,7 +182,7 @@ func (p *Path) txArenaFor(dom *xen.Domain) *postedArena {
 // postBuffers posts n receive buffers from the guest's arena, charging the
 // guest-side posting work, and returns how many the ring accepted.
 func (p *Path) postBuffers(dom *xen.Domain, n int) (int, error) {
-	a := p.arenaFor(dom)
+	a := p.arena(p.rxArena, dom, core.RxRingSlots, RxSlotBytes)
 	posted, err := p.T.PostRxBuffers(dom, a.take(n))
 	if err != nil {
 		return posted, err
@@ -236,7 +219,8 @@ func NewMultiModel(kind Kind, nNICs, guests int, model *drivermodel.Model, tcfg 
 	if guests > 1 && kind != Twin {
 		return nil, fmt.Errorf("netpath: %v runs a single guest (multi-guest fan-out is the domU-twin path)", kind)
 	}
-	p := &Path{Kind: kind, Guests: guests}
+	p := &Path{Kind: kind, Guests: guests,
+		rxArena: make(map[mem.Owner]*postedArena), txArena: make(map[mem.Owner]*postedArena)}
 	var err error
 	switch kind {
 	case Twin:
@@ -273,30 +257,13 @@ func (p *Path) ResetMeasurement() {
 	p.TxCount, p.RxCount = 0, 0
 }
 
-// frame builds a data frame of the given total size addressed appropriately
-// for the path direction. Sizes below the 14-byte Ethernet header are
-// rejected rather than panicking in the payload arithmetic.
-func (p *Path) frame(d *core.NICDev, size int, rx bool) ([]byte, error) {
-	return p.buildFrame(d.Dev.HWAddr(), rx, size)
-}
-
-// frameTo builds a receive-direction frame of the given total size
-// addressed to dst.
-func (p *Path) frameTo(dst [6]byte, size int) ([]byte, error) {
-	return p.buildFrame(dst, true, size)
-}
-
-// frameFrom builds a transmit-direction frame of the given total size
-// sourced from src.
-func (p *Path) frameFrom(src [6]byte, size int) ([]byte, error) {
-	return p.buildFrame(src, false, size)
-}
-
 // buildFrame builds the next frame of the path's sequence in one
 // allocation: Ethernet header, the sparse payload pattern, zero padding to
 // the 60-byte minimum. local is the machine's end — the destination of a
 // received frame, the source of a transmitted one; the other end is a
-// synthetic peer numbered with the sequence byte.
+// synthetic peer numbered with the sequence byte. Sizes below the 14-byte
+// Ethernet header are rejected rather than panicking in the payload
+// arithmetic.
 func (p *Path) buildFrame(local [6]byte, rx bool, size int) ([]byte, error) {
 	if size < 14 {
 		return nil, fmt.Errorf("netpath: frame size %d is below the 14-byte Ethernet header", size)
@@ -319,7 +286,7 @@ func (p *Path) buildFrame(local [6]byte, rx bool, size int) ([]byte, error) {
 // SendOne pushes one size-byte packet out through NIC index i.
 func (p *Path) SendOne(i int, size int) error {
 	d := p.M.Devs[i%len(p.M.Devs)]
-	frame, err := p.frame(d, size, false)
+	frame, err := p.buildFrame(d.Dev.HWAddr(), false, size)
 	if err != nil {
 		return err
 	}
@@ -343,7 +310,7 @@ func (p *Path) SendOne(i int, size int) error {
 // full receive path.
 func (p *Path) ReceiveOne(i int, size int) error {
 	d := p.M.Devs[i%len(p.M.Devs)]
-	frame, err := p.frame(d, size, true)
+	frame, err := p.buildFrame(d.Dev.HWAddr(), true, size)
 	if err != nil {
 		return err
 	}
@@ -767,7 +734,7 @@ func (p *Path) recvTwinBatch(i, size, burst int) (int, error) {
 			}
 		}
 		for k := 0; k < chunk; k++ {
-			f, err := p.frame(d, size, true)
+			f, err := p.buildFrame(d.Dev.HWAddr(), true, size)
 			if err != nil {
 				return done, err
 			}
@@ -804,7 +771,7 @@ func (p *Path) recvTwinBatch(i, size, burst int) (int, error) {
 // frames, in generation order.
 func (p *Path) txFrames(frames [][]byte, src [6]byte, size, count int) ([][]byte, error) {
 	for k := 0; k < count; k++ {
-		f, err := p.frameFrom(src, size)
+		f, err := p.buildFrame(src, false, size)
 		if err != nil {
 			return nil, err
 		}
@@ -829,7 +796,7 @@ func (p *Path) stageTxMulti(dom *xen.Domain, frames [][]byte, posted bool) (int,
 		}
 		return p.T.StageTransmitBatch(dom, frames)
 	}
-	a := p.txArenaFor(dom)
+	a := p.arena(p.txArena, dom, core.TxRingSlots, core.TxSlotBytes)
 	descs := make([]core.TxPost, 0, len(frames))
 	for _, f := range frames {
 		slot := a.slots[a.next]
@@ -993,7 +960,7 @@ func (p *Path) ReceiveBurstMulti(i, size, n int) (map[mem.Owner]int, error) {
 				injected := 0
 				for g, dom := range wave {
 					for k := 0; k < need[dom.ID]; k++ {
-						f, err := p.frameTo(p.guestMACs[ws+g], size)
+						f, err := p.buildFrame(p.guestMACs[ws+g], true, size)
 						if err != nil {
 							return total, err
 						}

@@ -3,8 +3,10 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -45,19 +47,10 @@ type Bench struct {
 	Entries []BenchEntry `json:"entries"`
 }
 
-// NewBench starts an empty measurement set for one area.
-func NewBench(area string, quick bool) *Bench {
-	return &Bench{Area: area, Unit: "cyc/pkt", Quick: quick}
-}
-
-// Add records one configuration's measurement.
-func (b *Bench) Add(config string, cyclesPerPacket float64) {
-	b.Entries = append(b.Entries, BenchEntry{Config: config, CyclesPerPacket: cyclesPerPacket})
-}
-
-// AddBreakdown records one configuration's measurement along with its
-// per-component attribution (a netbench Result.Breakdown).
-func (b *Bench) AddBreakdown(config string, cyclesPerPacket float64, breakdown map[cycles.Component]float64) {
+// Add records one configuration's measurement along with its
+// per-component attribution (a netbench Result.Breakdown; nil for areas
+// whose number is not a per-packet meter total).
+func (b *Bench) Add(config string, cyclesPerPacket float64, breakdown map[cycles.Component]float64) {
 	e := BenchEntry{Config: config, CyclesPerPacket: cyclesPerPacket}
 	if len(breakdown) > 0 {
 		e.Breakdown = make(map[string]float64, len(breakdown))
@@ -76,14 +69,11 @@ func BreakdownDrift(base, cur BenchEntry) string {
 	if len(base.Breakdown) == 0 || len(cur.Breakdown) == 0 {
 		return ""
 	}
-	comps := make([]string, 0, len(base.Breakdown))
-	for c := range base.Breakdown {
+	either := maps.Clone(base.Breakdown)
+	maps.Copy(either, cur.Breakdown)
+	comps := make([]string, 0, len(either))
+	for c := range either {
 		comps = append(comps, c)
-	}
-	for c := range cur.Breakdown {
-		if _, ok := base.Breakdown[c]; !ok {
-			comps = append(comps, c)
-		}
 	}
 	sort.Strings(comps)
 	parts := make([]string, 0, len(comps))
@@ -145,8 +135,11 @@ func LoadBench(path string) (*Bench, error) {
 // cycles/packet regressed beyond tolerancePct, every baseline
 // configuration the current run no longer measures (coverage loss), and
 // every new configuration the baseline does not carry (the baseline must
-// be regenerated so the gate covers it). Quick and full measurements are
-// never comparable.
+// be regenerated so the gate covers it). At tolerance 0 the comparison is
+// exact in both directions: a number that got cheaper, or a breakdown
+// bucket that moved under an unchanged total, fails too — a deterministic
+// simulation either reproduces its baseline entry to the digit or the
+// baseline is stale. Quick and full measurements are never comparable.
 func CompareBench(baseline, current *Bench, tolerancePct float64) error {
 	if baseline.Area != current.Area {
 		return fmt.Errorf("bench areas differ: baseline %q vs current %q", baseline.Area, current.Area)
@@ -163,10 +156,18 @@ func CompareBench(baseline, current *Bench, tolerancePct float64) error {
 			continue
 		}
 		limit := base.CyclesPerPacket * (1 + tolerancePct/100)
-		if cur.CyclesPerPacket > limit {
+		switch {
+		case cur.CyclesPerPacket > limit:
 			problems = append(problems, fmt.Sprintf("%s: %.1f cyc/pkt vs baseline %.1f (+%.1f%%, tolerance %.1f%%)",
 				base.Config, cur.CyclesPerPacket, base.CyclesPerPacket,
 				100*(cur.CyclesPerPacket-base.CyclesPerPacket)/base.CyclesPerPacket, tolerancePct))
+		case tolerancePct == 0 && !reflect.DeepEqual(base, cur):
+			drift := BreakdownDrift(base, cur)
+			if drift != "" {
+				drift = " [" + drift + "]"
+			}
+			problems = append(problems, fmt.Sprintf("%s: %v cyc/pkt vs baseline %v%s: not equal to the digit (regenerate with benchgate -update)",
+				base.Config, cur.CyclesPerPacket, base.CyclesPerPacket, drift))
 		}
 	}
 	for _, cur := range current.Entries {

@@ -4,13 +4,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"twindrivers/internal/cycles"
 )
 
 func sampleBench() *Bench {
-	b := NewBench("batch", false)
-	b.Add("e1000/tx/batch=1", 9000)
-	b.Add("e1000/tx/batch=32", 4000)
-	b.Add("e1000/rx/batch=8/posted", 6500)
+	b := &Bench{Area: "batch", Unit: "cyc/pkt"}
+	b.Add("e1000/tx/batch=1", 9000, nil)
+	b.Add("e1000/tx/batch=32", 4000, map[cycles.Component]float64{cycles.CompDomU: 2500, cycles.CompXen: 1500})
+	b.Add("e1000/rx/batch=8/posted", 6500, nil)
 	return b
 }
 
@@ -69,10 +71,26 @@ func TestCompareBenchCatchesRegression(t *testing.T) {
 	if err := CompareBench(base, cur, 15); err != nil {
 		t.Fatalf("+10%% within a 15%% tolerance must pass: %v", err)
 	}
-	// An improvement is never a failure.
+	// With a tolerance an improvement is never a failure.
 	cur.Entries[1].CyclesPerPacket = base.Entries[1].CyclesPerPacket * 0.5
 	if err := CompareBench(base, cur, 5); err != nil {
 		t.Fatalf("an improvement failed the gate: %v", err)
+	}
+	// At tolerance 0 the gate is exact both ways: a number that got
+	// cheaper is a stale baseline ...
+	err = CompareBench(base, cur, 0)
+	if err == nil || !strings.Contains(err.Error(), "e1000/tx/batch=32") || !strings.Contains(err.Error(), "benchgate -update") {
+		t.Fatalf("a cheaper number passed the exact gate, or without the regenerate hint: %v", err)
+	}
+	// ... and so is a breakdown bucket that moved under an unchanged total.
+	cur = sampleBench()
+	cur.Entries[1].Breakdown = map[string]float64{"domU": 2400, "xen": 1600}
+	err = CompareBench(base, cur, 0)
+	if err == nil || !strings.Contains(err.Error(), "e1000/tx/batch=32") || !strings.Contains(err.Error(), "domU 2500.0→2400.0") {
+		t.Fatalf("a moved bucket passed the exact gate, or unnamed: %v", err)
+	}
+	if err := CompareBench(base, cur, 5); err != nil {
+		t.Fatalf("a moved bucket under an unchanged total failed a toleranced gate: %v", err)
 	}
 }
 
@@ -90,7 +108,7 @@ func TestCompareBenchCoverage(t *testing.T) {
 	}
 
 	extra := sampleBench()
-	extra.Add("rtl8139/tx/batch=1", 12000)
+	extra.Add("rtl8139/tx/batch=1", 12000, nil)
 	if err := CompareBench(base, extra, 5); err == nil || !strings.Contains(err.Error(), "missing from the baseline") {
 		t.Fatalf("unbaselined configuration not caught: %v", err)
 	}
@@ -101,7 +119,7 @@ func TestCompareBenchCoverage(t *testing.T) {
 		t.Fatalf("quick/full mismatch not caught: %v", err)
 	}
 
-	other := NewBench("rxpath", false)
+	other := &Bench{Area: "rxpath"}
 	if err := CompareBench(base, other, 5); err == nil {
 		t.Fatal("cross-area comparison not caught")
 	}

@@ -8,11 +8,11 @@ import (
 )
 
 func TestAddBreakdownRoundTrip(t *testing.T) {
-	b := NewBench("batch", false)
-	b.AddBreakdown("e1000/tx/batch=32", 2000, map[cycles.Component]float64{
+	b := &Bench{Area: "batch"}
+	b.Add("e1000/tx/batch=32", 2000, map[cycles.Component]float64{
 		cycles.CompDom0: 1200, cycles.CompXen: 800,
 	})
-	b.Add("plain", 100)
+	b.Add("plain", 100, nil)
 	e, ok := b.Lookup("e1000/tx/batch=32")
 	if !ok || e.Breakdown["dom0"] != 1200 || e.Breakdown["xen"] != 800 {
 		t.Fatalf("breakdown not stored: %+v", e)

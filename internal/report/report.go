@@ -1,267 +1,256 @@
 // Package report renders the reproduced tables and figures as text: the
-// bar values of Figures 5-8 and 10 as aligned tables, the Figure 9 series
-// as an ASCII chart, and Table 1 as the paper prints it.
+// bar values of Figures 5-8 and 10 and every sweep as aligned tables (one
+// renderer, Table.Print, over per-table column layouts), the Figure 9
+// series as an ASCII chart, and Table 1 as the paper prints it.
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"twindrivers/internal/cycles"
 	"twindrivers/internal/netbench"
 	"twindrivers/internal/recovery"
-	"twindrivers/internal/trace"
 	"twindrivers/internal/webbench"
 )
 
-// Throughput renders a Figure 5/6-style table.
-func Throughput(w io.Writer, title string, results []*netbench.Result, paper map[string]float64) {
+// Table is a column layout over rows of type T: every cycles/packet table
+// of the evaluation (Figures 5–8 and 10, the sweeps) is one of these, and
+// Print is the one renderer. Adding a column to a table is adding a col to
+// its layout.
+type Table[T any] []col[T]
+
+// col is one column: its header, its width (negative = left-aligned) and
+// the cell text of a row.
+type col[T any] struct {
+	head  string
+	width int
+	cell  func(T) string
+}
+
+// Print renders the title, its underline, the header row, one line per
+// row and a closing blank line.
+func (t Table[T]) Print(w io.Writer, title string, rows []T) {
+	t.print(w, title, rows)
+	fmt.Fprintln(w)
+}
+
+func (t Table[T]) print(w io.Writer, title string, rows []T) {
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%-12s %14s %8s %14s\n", "config", "throughput", "CPU", "paper")
-	for _, r := range results {
-		p := "-"
-		if v, ok := paper[r.Config]; ok {
-			p = fmt.Sprintf("%8.0f Mb/s", v)
+	line := func(cell func(col[T]) string) {
+		cells := make([]string, len(t))
+		for i, c := range t {
+			cells[i] = fmt.Sprintf("%*s", c.width, cell(c))
 		}
-		fmt.Fprintf(w, "%-12s %9.0f Mb/s %7.0f%% %14s\n",
-			r.Config, r.ThroughputMbps, 100*r.CPUUtil, p)
+		fmt.Fprintln(w, strings.Join(cells, " "))
 	}
-	fmt.Fprintln(w)
+	line(func(c col[T]) string { return c.head })
+	for _, r := range rows {
+		line(func(c col[T]) string { return c.cell(r) })
+	}
 }
 
-// Breakdown renders a Figure 7/8-style cycles-per-packet table with the
-// four attribution buckets.
-func Breakdown(w io.Writer, title string, results []*netbench.Result, paper map[string]float64) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%-12s %9s %8s %8s %8s %8s %9s\n",
-		"config", "cyc/pkt", "dom0", "domU", "Xen", "e1000", "paper")
-	for _, r := range results {
-		p := "-"
-		if v, ok := paper[r.Config]; ok {
-			p = fmt.Sprintf("%9.0f", v)
+// text and num are one-column layouts, of a string and of a formatted
+// number; cat joins layouts.
+func text[T any](head string, width int, cell func(T) string) Table[T] {
+	return Table[T]{{head, width, cell}}
+}
+
+func num[T, N any](head string, width int, format string, val func(T) N) Table[T] {
+	return text(head, width, func(r T) string { return fmt.Sprintf(format, val(r)) })
+}
+
+func cat[T any](parts ...Table[T]) Table[T] {
+	var t Table[T]
+	for _, p := range parts {
+		t = append(t, p...)
+	}
+	return t
+}
+
+// The column vocabulary of the netbench.Result tables.
+type result = *netbench.Result
+
+var (
+	config     = text("config", -12, resultConfig)
+	backend    = text("backend", -10, func(r result) string { return r.Backend })
+	batch      = num("batch", 6, "%d", func(r result) int { return r.BatchSize })
+	guests     = num("guests", 7, "%d", func(r result) int { return r.Guests })
+	throughput = num("throughput", 14, "%.0f Mb/s", func(r result) float64 { return r.ThroughputMbps })
+)
+
+func cycPkt(width int) Table[result] {
+	return num("cyc/pkt", width, "%.0f", func(r result) float64 { return r.CyclesPerPacket })
+}
+
+func hcPkt(format string) Table[result] {
+	return num("hc/pkt", 8, format, func(r result) float64 { return r.HypercallsPerPacket })
+}
+
+func swPkt(width int, format string) Table[result] {
+	return num("sw/pkt", width, format, func(r result) float64 { return r.SwitchesPerPacket })
+}
+
+// buckets is the four-bucket attribution of Figures 7/8; driver heads the
+// derived-driver bucket ("e1000" where the table is about that backend).
+func buckets(driver string) Table[result] {
+	bucket := func(head string, c cycles.Component) Table[result] {
+		return num(head, 8, "%.0f", func(r result) float64 { return r.Breakdown[c] })
+	}
+	return cat(bucket("dom0", cycles.CompDom0), bucket("domU", cycles.CompDomU),
+		bucket("Xen", cycles.CompXen), bucket(driver, cycles.CompDriver))
+}
+
+// paperCol is the paper's own number for the row's configuration.
+func paperCol[T any](head string, width int, format string, paper map[string]float64, name func(T) string) Table[T] {
+	return text(head, width, func(r T) string {
+		if v, ok := paper[name(r)]; ok {
+			return fmt.Sprintf(format, v)
 		}
-		fmt.Fprintf(w, "%-12s %9.0f %8.0f %8.0f %8.0f %8.0f %9s\n",
-			r.Config, r.CyclesPerPacket,
-			r.Breakdown[cycles.CompDom0], r.Breakdown[cycles.CompDomU],
-			r.Breakdown[cycles.CompXen], r.Breakdown[cycles.CompDriver], p)
-	}
-	fmt.Fprintln(w)
+		return "-"
+	})
 }
 
-// BatchSweep renders the batched-hypercall sweep: domU-twin cycles/packet
-// (with the four-bucket attribution) and transition rates as a function of
-// the batch size.
-func BatchSweep(w io.Writer, title string, results []*netbench.Result) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%6s %9s %8s %8s %8s %8s %8s %8s %14s\n",
-		"batch", "cyc/pkt", "dom0", "domU", "Xen", "e1000", "hc/pkt", "sw/pkt", "throughput")
-	for _, r := range results {
-		fmt.Fprintf(w, "%6d %9.0f %8.0f %8.0f %8.0f %8.0f %8.2f %8.2f %9.0f Mb/s\n",
-			r.Batch, r.CyclesPerPacket,
-			r.Breakdown[cycles.CompDom0], r.Breakdown[cycles.CompDomU],
-			r.Breakdown[cycles.CompXen], r.Breakdown[cycles.CompDriver],
-			r.HypercallsPerPacket, r.SwitchesPerPacket, r.ThroughputMbps)
+// guestSpread is the least and the greatest of a per-guest value.
+func guestSpread(r result, val func(netbench.GuestStat) float64) (lo, hi float64) {
+	if len(r.PerGuest) == 0 {
+		return 0, 0
 	}
-	fmt.Fprintln(w)
+	by := func(a, b netbench.GuestStat) int { return cmp.Compare(val(a), val(b)) }
+	return val(slices.MinFunc(r.PerGuest, by)), val(slices.MaxFunc(r.PerGuest, by))
 }
 
-// MultiGuestSweep renders the multi-guest fan-out sweep: aggregate and
-// per-guest cycles/packet, the fairness spread, and the transition rates
-// as a function of the guest count.
-func MultiGuestSweep(w io.Writer, title string, results []*netbench.MultiGuestResult) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%7s %9s %9s %9s %12s %8s %8s %14s\n",
-		"guests", "cyc/pkt", "guest-min", "guest-max", "pkts/guest", "hc/pkt", "sw/pkt", "throughput")
-	for _, r := range results {
-		minC, maxC := 0.0, 0.0
-		minP, maxP := uint64(0), uint64(0)
-		for i, g := range r.PerGuest {
-			if i == 0 || g.CyclesPerPacket < minC {
-				minC = g.CyclesPerPacket
+func guestCycPkt(g netbench.GuestStat) float64 { return g.CyclesPerPacket }
+
+// pktsPerGuest is the per-guest packet spread, "min-max" when uneven.
+func pktsPerGuest(width int) Table[result] {
+	return text("pkts/guest", width, func(r result) string {
+		lo, hi := guestSpread(r, func(g netbench.GuestStat) float64 { return float64(g.Packets) })
+		if lo == hi {
+			return fmt.Sprintf("%.0f", lo)
+		}
+		return fmt.Sprintf("%.0f-%.0f", lo, hi)
+	})
+}
+
+func resultConfig(r result) string { return r.Config }
+
+// Throughput is the Figure 5/6 table.
+func Throughput(paper map[string]float64) Table[result] {
+	return cat(config, throughput,
+		num("CPU", 8, "%.0f%%", func(r result) float64 { return 100 * r.CPUUtil }),
+		paperCol("paper", 14, "%8.0f Mb/s", paper, resultConfig))
+}
+
+// Breakdown is the Figure 7/8 cycles-per-packet table with the four
+// attribution buckets.
+func Breakdown(paper map[string]float64) Table[result] {
+	return cat(config, cycPkt(9), buckets("e1000"), paperCol("paper", 9, "%.0f", paper, resultConfig))
+}
+
+// PathSweep is the posted-path table of one direction: per backend and
+// batch size, the domU-twin cycles/packet of the copy path next to the
+// posted path. The posted rows trade a guest-side copy (domU bucket) for a
+// per-packet guest-TLB lookup (Xen bucket) — the net is the win.
+func PathSweep(dir netbench.Direction) Table[result] {
+	head := map[netbench.Direction]string{netbench.TX: "tx-path", netbench.RX: "rx-path"}[dir]
+	return cat(backend, batch, text(head, -7, func(r result) string {
+		if r.PostedRX || r.PostedTX {
+			return "posted"
+		}
+		return "copy"
+	}), cycPkt(9), buckets("driver"), throughput)
+}
+
+// The other sweep tables.
+var (
+	// UpcallSweep is Figure 10: transmit throughput as a function of the
+	// number of upcalls per driver invocation.
+	UpcallSweep = cat(
+		num("upcalls", 8, "%.0f", func(r result) float64 { return r.UpcallsPerPacket }),
+		throughput, cycPkt(10), swPkt(10, "%.1f"))
+
+	// BatchSweep is the batched-hypercall sweep: domU-twin cycles/packet
+	// and transition rates as a function of the batch size.
+	BatchSweep = cat(batch, cycPkt(9), buckets("e1000"), hcPkt("%.2f"), swPkt(8, "%.2f"), throughput)
+
+	// MultiGuestSweep is the fan-out sweep: aggregate and per-guest
+	// cycles/packet, the fairness spread, and the transition rates as a
+	// function of the guest count.
+	MultiGuestSweep = cat(guests, cycPkt(9),
+		num("guest-min", 9, "%.0f", func(r result) float64 { lo, _ := guestSpread(r, guestCycPkt); return lo }),
+		num("guest-max", 9, "%.0f", func(r result) float64 { _, hi := guestSpread(r, guestCycPkt); return hi }),
+		pktsPerGuest(12), hcPkt("%.3f"), swPkt(8, "%.3f"), throughput)
+
+	// MQSweep is the multi-queue sweep: critical-path cycles/packet —
+	// the shared work plus the slowest queue's service loop — as a
+	// function of the service-queue count, beside the total work.
+	MQSweep = cat(num("queues", 7, "%d", func(r result) int { return r.Queues }),
+		guests, cycPkt(9), buckets("driver"), throughput)
+
+	// BackendSweep is the multi-backend comparison: the same derivation
+	// pipeline and harness per NIC driver model, direction and batch size
+	// (the driver bucket is whichever backend's derived code ran).
+	BackendSweep = cat(backend,
+		text("direction", 9, func(r result) string { return r.Direction.String() }),
+		batch, cycPkt(9), buckets("driver"), hcPkt("%.3f"), throughput)
+
+	// SchedSweep is the weighted-fair scheduling sweep: contended transmit
+	// cycles/packet, the worst deviation of any guest's measured share
+	// from its weight share — the scheduler's contract — and the
+	// per-guest packet spread the weights cause.
+	SchedSweep = cat(guests,
+		text("sched", -16, func(r result) string { return r.SchedSpec() }), cycPkt(9),
+		text("share-err", 10, func(r result) string {
+			if len(r.Twin.Rates) > 0 {
+				return "rated" // a cap binds shares by rate, not weight
 			}
-			if g.CyclesPerPacket > maxC {
-				maxC = g.CyclesPerPacket
-			}
-			if i == 0 || g.Packets < minP {
-				minP = g.Packets
-			}
-			if g.Packets > maxP {
-				maxP = g.Packets
-			}
-		}
-		pkts := fmt.Sprintf("%d", minP)
-		if maxP != minP {
-			pkts = fmt.Sprintf("%d-%d", minP, maxP)
-		}
-		fmt.Fprintf(w, "%7d %9.0f %9.0f %9.0f %12s %8.3f %8.3f %9.0f Mb/s\n",
-			r.Guests, r.CyclesPerPacket, minC, maxC, pkts,
-			r.HypercallsPerPacket, r.SwitchesPerPacket, r.ThroughputMbps)
-	}
-	fmt.Fprintln(w)
-}
+			return fmt.Sprintf("%.2f%%", r.MaxShareErrPct)
+		}),
+		pktsPerGuest(13), hcPkt("%.3f"), throughput)
 
-// MQSweep renders the multi-queue sweep: critical-path cycles/packet as
-// a function of the service-queue count, with the shared (non-queue)
-// work and the per-component totals alongside. The critical path is the
-// shared work plus the slowest queue's service loop, so it should fall
-// as the fixed guest population spreads across more queues.
-func MQSweep(w io.Writer, title string, results []*netbench.MultiGuestResult) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%7s %7s %9s %8s %8s %8s %8s %14s\n",
-		"queues", "guests", "cyc/pkt", "dom0", "domU", "Xen", "driver", "throughput")
-	for _, r := range results {
-		fmt.Fprintf(w, "%7d %7d %9.0f %8.0f %8.0f %8.0f %8.0f %9.0f Mb/s\n",
-			r.Queues, r.Guests, r.CyclesPerPacket,
-			r.Breakdown[cycles.CompDom0], r.Breakdown[cycles.CompDomU],
-			r.Breakdown[cycles.CompXen], r.Breakdown[cycles.CompDriver],
-			r.ThroughputMbps)
-	}
-	fmt.Fprintln(w)
-}
+	// VswitchCompare is the inter-guest switch comparison: per backend,
+	// the guest→guest cycles/packet through the dom0-side L2 switch
+	// against the same stream hairpinned through the device. A row is the
+	// {switched, device} pair.
+	VswitchCompare = cat(
+		text("backend", -10, func(r [2]result) string { return r[0].Backend }),
+		num("pktsize", 9, "%d", func(r [2]result) int { return r[0].PacketSize }),
+		num("switch", 14, "%.0f c/p", func(r [2]result) float64 { return r[0].CyclesPerPacket }),
+		num("device", 14, "%.0f c/p", func(r [2]result) float64 { return r[1].CyclesPerPacket }),
+		num("speedup", 9, "%.2fx", func(r [2]result) float64 { return r[1].CyclesPerPacket / r[0].CyclesPerPacket }))
+)
 
-// BackendSweep renders the multi-backend comparison: for each NIC driver
-// model, the domU-twin cycles/packet (with the four-bucket attribution —
-// the driver bucket is whichever backend's derived code ran), transition
-// rates and throughput, per direction and batch size. The point is not
-// that the numbers match across backends — an rtl8139 copies every byte
-// twice and should cost more — but that the same derivation pipeline and
-// measurement harness produce them.
-func BackendSweep(w io.Writer, title string, results []*netbench.Result) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%-10s %9s %6s %9s %8s %8s %8s %8s %8s %14s\n",
-		"backend", "direction", "batch", "cyc/pkt", "dom0", "domU", "Xen", "driver", "hc/pkt", "throughput")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-10s %9s %6d %9.0f %8.0f %8.0f %8.0f %8.0f %8.3f %9.0f Mb/s\n",
-			r.Backend, r.Direction, r.Batch, r.CyclesPerPacket,
-			r.Breakdown[cycles.CompDom0], r.Breakdown[cycles.CompDomU],
-			r.Breakdown[cycles.CompXen], r.Breakdown[cycles.CompDriver],
-			r.HypercallsPerPacket, r.ThroughputMbps)
-	}
-	fmt.Fprintln(w)
-}
+type recoveryRow = *recovery.Measurement
 
-// RXPathSweep renders the posted-buffer receive experiment: for each NIC
-// backend and batch size, the domU-twin receive cycles/packet of the
-// legacy copy path next to the posted-buffer path, with the four-bucket
-// attribution. The posted rows trade the guest's copy-out (domU bucket)
-// for a per-packet guest-TLB lookup (Xen bucket) — the net is the win.
-func RXPathSweep(w io.Writer, title string, results []*netbench.Result) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%-10s %6s %-7s %9s %8s %8s %8s %8s %14s\n",
-		"backend", "batch", "rx-path", "cyc/pkt", "dom0", "domU", "Xen", "driver", "throughput")
-	for _, r := range results {
-		mode := "copy"
-		if r.PostedRX {
-			mode = "posted"
+var recoveryTable = cat(
+	text("fault", -14, func(r recoveryRow) string { return r.Fault }),
+	num("guests", 7, "%d", func(r recoveryRow) int { return r.Guests }),
+	num("MTTR(cyc)", 12, "%d", func(r recoveryRow) uint64 { return r.MTTRCycles }),
+	num("lost-rx", 8, "%d", func(r recoveryRow) uint64 { return r.LostRx }),
+	num("retried-tx", 10, "%d", func(r recoveryRow) uint64 { return r.RetriedTx }),
+	num("delivered", 10, "%d", func(r recoveryRow) uint64 { return r.Delivered }),
+	num("pre-cpp", 9, "%.0f", func(r recoveryRow) float64 { return r.PreCPP }),
+	num("post-cpp", 9, "%.0f", func(r recoveryRow) float64 { return r.PostCPP }),
+	num("Δ%", 7, "%+.1f%%", func(r recoveryRow) float64 {
+		if r.PreCPP > 0 {
+			return 100 * (r.PostCPP - r.PreCPP) / r.PreCPP
 		}
-		fmt.Fprintf(w, "%-10s %6d %-7s %9.0f %8.0f %8.0f %8.0f %8.0f %9.0f Mb/s\n",
-			r.Backend, r.Batch, mode, r.CyclesPerPacket,
-			r.Breakdown[cycles.CompDom0], r.Breakdown[cycles.CompDomU],
-			r.Breakdown[cycles.CompXen], r.Breakdown[cycles.CompDriver],
-			r.ThroughputMbps)
-	}
-	fmt.Fprintln(w)
-}
-
-// TXPathSweep renders the posted-descriptor transmit experiment: for each
-// NIC backend and batch size, the domU-twin transmit cycles/packet of the
-// staging-copy path next to the posted scatter/gather path, with the
-// four-bucket attribution. The posted rows trade the guest's per-byte
-// staging copy (domU bucket) for a fixed descriptor post and a guest-TLB
-// lookup (Xen bucket) — the net is the win.
-func TXPathSweep(w io.Writer, title string, results []*netbench.Result) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%-10s %6s %-7s %9s %8s %8s %8s %8s %14s\n",
-		"backend", "batch", "tx-path", "cyc/pkt", "dom0", "domU", "Xen", "driver", "throughput")
-	for _, r := range results {
-		mode := "copy"
-		if r.PostedTX {
-			mode = "posted"
-		}
-		fmt.Fprintf(w, "%-10s %6d %-7s %9.0f %8.0f %8.0f %8.0f %8.0f %9.0f Mb/s\n",
-			r.Backend, r.Batch, mode, r.CyclesPerPacket,
-			r.Breakdown[cycles.CompDom0], r.Breakdown[cycles.CompDomU],
-			r.Breakdown[cycles.CompXen], r.Breakdown[cycles.CompDriver],
-			r.ThroughputMbps)
-	}
-	fmt.Fprintln(w)
-}
-
-// SchedSweep renders the weighted-fair scheduling sweep: for each
-// configuration (guest count × weight/rate vector), the contended
-// transmit cycles/packet, the worst deviation of any guest's measured
-// share from its weight share, and the per-guest packet spread. The
-// share-error column is the scheduler's contract: under DRR it stays
-// within a few percent at any fan-out, where the packet spread shows
-// the weighted inequality that causes it.
-func SchedSweep(w io.Writer, title string, results []*netbench.SchedResult) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%7s %-16s %9s %10s %13s %8s %14s\n",
-		"guests", "sched", "cyc/pkt", "share-err", "pkts/guest", "hc/pkt", "throughput")
-	for _, r := range results {
-		minP, maxP := uint64(0), uint64(0)
-		for i, g := range r.PerGuest {
-			if i == 0 || g.Packets < minP {
-				minP = g.Packets
-			}
-			if g.Packets > maxP {
-				maxP = g.Packets
-			}
-		}
-		pkts := fmt.Sprintf("%d", minP)
-		if maxP != minP {
-			pkts = fmt.Sprintf("%d-%d", minP, maxP)
-		}
-		shareErr := fmt.Sprintf("%8.2f%%", r.MaxShareErrPct)
-		if r.Rates() != "" {
-			shareErr = "   rated" // a cap binds shares by rate, not weight
-		}
-		fmt.Fprintf(w, "%7d %-16s %9.0f %10s %13s %8.3f %9.0f Mb/s\n",
-			r.Guests, r.Spec(), r.CyclesPerPacket, shareErr, pkts,
-			r.HypercallsPerPacket, r.ThroughputMbps)
-	}
-	fmt.Fprintln(w)
-}
-
-// VswitchCompare renders the inter-guest switch comparison: per NIC
-// backend, the guest→guest cycles/packet through the dom0-side L2
-// switch against the same stream hairpinned through the device, and
-// the resulting speedup.
-func VswitchCompare(w io.Writer, title string, results []*netbench.VswitchResult) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%-10s %9s %14s %14s %9s\n",
-		"backend", "pktsize", "switch", "device", "speedup")
-	for _, r := range results {
-		fmt.Fprintf(w, "%-10s %9d %10.0f c/p %10.0f c/p %8.2fx\n",
-			r.Backend, r.PacketSize, r.SwitchCPP, r.DeviceCPP, r.Speedup)
-	}
-	fmt.Fprintln(w)
-}
+		return 0
+	}))
 
 // RecoverySweep renders the transparent-recovery experiment: for each
 // fault type and guest count, the measured MTTR in cycles, the packets
 // lost or re-staged across the fault, and the fault-free cycles/packet
 // before versus after (proving the recovered instance is as good as the
-// original).
-func RecoverySweep(w io.Writer, rows []*recovery.Measurement) {
-	title := "Recovery sweep: MTTR and packet loss per fault type and guest count"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%-14s %7s %12s %8s %10s %10s %9s %9s %7s\n",
-		"fault", "guests", "MTTR(cyc)", "lost-rx", "retried-tx", "delivered", "pre-cpp", "post-cpp", "Δ%")
-	for _, r := range rows {
-		delta := 0.0
-		if r.PreCPP > 0 {
-			delta = 100 * (r.PostCPP - r.PreCPP) / r.PreCPP
-		}
-		fmt.Fprintf(w, "%-14s %7d %12d %8d %10d %10d %9.0f %9.0f %+6.1f%%\n",
-			r.Fault, r.Guests, r.MTTRCycles, r.LostRx, r.RetriedTx, r.Delivered,
-			r.PreCPP, r.PostCPP, delta)
-	}
-	// Fault attribution: the twin's rendered fault log per row, so the
-	// report shows what faulted (kind, entry symbol, cycle stamp), not
-	// only what the restart cost.
+// original); then the twin's rendered fault log per row, so the report
+// shows what faulted (kind, entry symbol, cycle stamp), not only what the
+// restart cost.
+func RecoverySweep(w io.Writer, rows []recoveryRow) {
+	recoveryTable.print(w, "Recovery sweep: MTTR and packet loss per fault type and guest count", rows)
 	logged := false
 	for _, r := range rows {
 		for _, line := range r.FaultLog {
@@ -275,44 +264,20 @@ func RecoverySweep(w io.Writer, rows []*recovery.Measurement) {
 	fmt.Fprintln(w)
 }
 
-// UpcallSweep renders Figure 10: transmit throughput as a function of the
-// number of upcalls per driver invocation.
-func UpcallSweep(w io.Writer, results []*netbench.Result) {
-	title := "Figure 10: transmit throughput vs upcalls per driver invocation"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%8s %14s %10s %10s\n", "upcalls", "throughput", "cyc/pkt", "sw/pkt")
-	for _, r := range results {
-		fmt.Fprintf(w, "%8.0f %9.0f Mb/s %10.0f %10.1f\n",
-			r.UpcallsPerPacket, r.ThroughputMbps, r.CyclesPerPacket, r.SwitchesPerPacket)
-	}
-	fmt.Fprintln(w)
-}
-
 // WebCurves renders Figure 9 as an ASCII chart plus a peak table.
 func WebCurves(w io.Writer, curves []*webbench.Curve, paper map[string]float64) {
-	title := "Figure 9: web server throughput vs request rate"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-
 	// Peak table first.
-	fmt.Fprintf(w, "%-12s %11s %12s %12s\n", "config", "peak", "capacity", "paper peak")
-	for _, c := range curves {
-		p := "-"
-		if v, ok := paper[c.Config]; ok {
-			p = fmt.Sprintf("%7.0f Mb/s", v)
-		}
-		fmt.Fprintf(w, "%-12s %6.0f Mb/s %6.0f req/s %12s\n", c.Config, c.PeakMbps, c.CapacityReqs, p)
-	}
-	fmt.Fprintln(w)
+	cat(text("config", -12, func(c *webbench.Curve) string { return c.Config }),
+		num("peak", 11, "%.0f Mb/s", func(c *webbench.Curve) float64 { return c.PeakMbps }),
+		num("capacity", 12, "%.0f req/s", func(c *webbench.Curve) float64 { return c.CapacityReqs }),
+		paperCol("paper peak", 12, "%7.0f Mb/s", paper, func(c *webbench.Curve) string { return c.Config }),
+	).Print(w, "Figure 9: web server throughput vs request rate", curves)
 
 	// ASCII chart: rows = throughput bands, columns = request rate.
 	const height = 16
 	maxM := 0.0
 	for _, c := range curves {
-		for _, pt := range c.Points {
-			if pt.Mbps > maxM {
-				maxM = pt.Mbps
-			}
-		}
+		maxM = max(maxM, c.PeakMbps)
 	}
 	if maxM == 0 {
 		return
@@ -347,17 +312,30 @@ func WebCurves(w io.Writer, curves []*webbench.Curve, paper map[string]float64) 
 		curves[0].Points[cols-1].RequestRate)
 }
 
+// table1Descriptions gives the paper's one-line description for each
+// Table-1 routine.
+var table1Descriptions = map[string]string{
+	"netdev_alloc_skb":       "allocate sk_buffs",
+	"dev_kfree_skb_any":      "free sk_buffs",
+	"netif_rx":               "receive network packets",
+	"dma_map_single":         "map DMA buffer",
+	"dma_map_page":           "map DMA page",
+	"dma_unmap_single":       "unmap DMA buffer",
+	"dma_unmap_page":         "unmap DMA page",
+	"spin_trylock":           "acquire spinlock",
+	"spin_unlock_irqrestore": "release spinlock, restore interrupts",
+	"eth_type_trans":         "process MAC header",
+}
+
 // Table1 renders the fast-path support routine table.
-func Table1(w io.Writer, t *trace.Table1) {
-	title := "Table 1: support routines on the error-free transmit/receive path"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
-	desc := trace.Descriptions()
-	fmt.Fprintf(w, "%-26s %-40s %10s\n", "routine", "description", "calls")
-	for _, rc := range t.FastPath {
-		d := desc[strings.TrimSuffix(rc.Name, " (upcall)")]
-		fmt.Fprintf(w, "%-26s %-40s %10d\n", rc.Name, d, rc.Calls)
-	}
-	fmt.Fprintf(w, "\nFast-path routines: %d of %d imported support routines\n",
+func Table1(w io.Writer, t *netbench.Table1) {
+	cat(text("routine", -26, func(rc netbench.RoutineCount) string { return rc.Name }),
+		text("description", -40, func(rc netbench.RoutineCount) string {
+			return table1Descriptions[strings.TrimSuffix(rc.Name, " (upcall)")]
+		}),
+		num("calls", 10, "%d", func(rc netbench.RoutineCount) uint64 { return rc.Calls }),
+	).Print(w, "Table 1: support routines on the error-free transmit/receive path", t.FastPath)
+	fmt.Fprintf(w, "Fast-path routines: %d of %d imported support routines\n",
 		len(t.FastPath), len(t.AllRoutines))
 	fmt.Fprintf(w, "(kernel support table: %d symbols; paper: 10 of 97)\n\n", t.KernelSymbols)
 }
@@ -369,7 +347,7 @@ func KeyValue(w io.Writer, title string, kv map[string]string) {
 	for k := range kv {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		fmt.Fprintf(w, "%-32s %s\n", k, kv[k])
 	}

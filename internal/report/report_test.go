@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"twindrivers/internal/core"
 	"twindrivers/internal/cycles"
 	"twindrivers/internal/netbench"
-	"twindrivers/internal/trace"
 	"twindrivers/internal/webbench"
 )
 
@@ -21,7 +21,7 @@ func sampleResults() []*netbench.Result {
 
 func TestThroughputTable(t *testing.T) {
 	var b strings.Builder
-	Throughput(&b, "Figure 5", sampleResults(), map[string]float64{"Linux": 4690})
+	Throughput(map[string]float64{"Linux": 4690}).Print(&b, "Figure 5", sampleResults())
 	out := b.String()
 	for _, want := range []string{"Figure 5", "Linux", "domU-twin", "4690", "3694", "97%"} {
 		if !strings.Contains(out, want) {
@@ -32,7 +32,7 @@ func TestThroughputTable(t *testing.T) {
 
 func TestBreakdownTable(t *testing.T) {
 	var b strings.Builder
-	Breakdown(&b, "Figure 7", sampleResults(), map[string]float64{"domU-twin": 9972})
+	Breakdown(map[string]float64{"domU-twin": 9972}).Print(&b, "Figure 7", sampleResults())
 	out := b.String()
 	for _, want := range []string{"cyc/pkt", "dom0", "e1000", "9800", "9972"} {
 		if !strings.Contains(out, want) {
@@ -43,7 +43,7 @@ func TestBreakdownTable(t *testing.T) {
 
 func TestUpcallSweepTable(t *testing.T) {
 	var b strings.Builder
-	UpcallSweep(&b, []*netbench.Result{
+	UpcallSweep.Print(&b, "Figure 10: transmit throughput vs upcalls per driver invocation", []*netbench.Result{
 		{UpcallsPerPacket: 0, ThroughputMbps: 3694, CyclesPerPacket: 9800},
 		{UpcallsPerPacket: 1, ThroughputMbps: 1700, CyclesPerPacket: 21000, SwitchesPerPacket: 2},
 	})
@@ -72,8 +72,8 @@ func TestWebCurvesChart(t *testing.T) {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	tb := &trace.Table1{
-		FastPath: []trace.RoutineCount{
+	tb := &netbench.Table1{
+		FastPath: []netbench.RoutineCount{
 			{Name: "netif_rx", Calls: 128},
 			{Name: "dma_map_single", Calls: 128},
 		},
@@ -101,10 +101,10 @@ func TestKeyValueSorted(t *testing.T) {
 
 func TestMultiGuestSweepTable(t *testing.T) {
 	var b strings.Builder
-	results := []*netbench.MultiGuestResult{
-		{Result: &netbench.Result{CyclesPerPacket: 9500, ThroughputMbps: 938, HypercallsPerPacket: 0.06},
+	results := []*netbench.Result{
+		{CyclesPerPacket: 9500, ThroughputMbps: 938, HypercallsPerPacket: 0.06,
 			Guests: 1, PerGuest: []netbench.GuestStat{{Guest: 0, Packets: 128, CyclesPerPacket: 9500}}},
-		{Result: &netbench.Result{CyclesPerPacket: 9600, ThroughputMbps: 938, HypercallsPerPacket: 0.015, SwitchesPerPacket: 0.06},
+		{CyclesPerPacket: 9600, ThroughputMbps: 938, HypercallsPerPacket: 0.015, SwitchesPerPacket: 0.06,
 			Guests: 4, PerGuest: []netbench.GuestStat{
 				{Guest: 0, Packets: 128, CyclesPerPacket: 9590},
 				{Guest: 1, Packets: 128, CyclesPerPacket: 9600},
@@ -112,11 +112,24 @@ func TestMultiGuestSweepTable(t *testing.T) {
 				{Guest: 3, Packets: 127, CyclesPerPacket: 9680},
 			}},
 	}
-	MultiGuestSweep(&b, "Multi-guest sweep", results)
+	MultiGuestSweep.Print(&b, "Multi-guest sweep", results)
 	out := b.String()
 	for _, want := range []string{"guests", "guest-min", "guest-max", "9590", "9680", "127-128", "938 Mb/s"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("sweep table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDescriptionsCoverTableOne: the description column covers exactly the
+// paper's ten routines — the hypervisor's native support set.
+func TestDescriptionsCoverTableOne(t *testing.T) {
+	if len(table1Descriptions) != 10 {
+		t.Errorf("descriptions = %d, want the paper's 10", len(table1Descriptions))
+	}
+	for _, name := range core.DefaultHvSupport() {
+		if table1Descriptions[name] == "" {
+			t.Errorf("Table-1 routine %s has no description", name)
 		}
 	}
 }
