@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -51,16 +52,27 @@ func TestBatchTransmitDeliversAllFramesInOrder(t *testing.T) {
 // of one — through GuestTransmitBatch, or staged and drained by a
 // ServiceRings crossing budgeted to one descriptor — must charge exactly
 // the cycles, hypercalls and events of the per-packet GuestTransmit, so
-// all existing per-packet results stay valid. All three run the default
-// configuration (nil Weights): the one sweep, every guest weighing 1.
+// all existing per-packet results stay valid. All three run with nil
+// Weights (the one sweep, every guest weighing 1), once with the default
+// hypervisor support and once with the two spinlock routines turned into
+// upcalls: two upcalls per invocation, whose dom0 notifications a batch
+// of one must not coalesce.
 func TestBatchOfOneIsCycleIdentical(t *testing.T) {
+	upcalls := slices.DeleteFunc(DefaultHvSupport(), func(name string) bool {
+		return name == "spin_trylock" || name == "spin_unlock_irqrestore"
+	})
+	t.Run("default", func(t *testing.T) { batchOfOneMatches(t, TwinConfig{}) })
+	t.Run("upcalls", func(t *testing.T) { batchOfOneMatches(t, TwinConfig{HvSupport: upcalls}) })
+}
+
+func batchOfOneMatches(t *testing.T, cfg TwinConfig) {
 	type charges struct {
 		total              uint64
 		perComp            string
 		hypercalls, events uint64
 	}
 	run := func(send func(tw *Twin, m *Machine, d *NICDev, frame []byte) error) charges {
-		m, tw, err := NewTwinMachine(1, 1, TwinConfig{})
+		m, tw, err := NewTwinMachine(1, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

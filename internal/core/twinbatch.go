@@ -53,8 +53,12 @@ func (t *Twin) GuestTransmitBatch(d *NICDev, frames [][]byte) (int, error) {
 		}
 	}
 	g := t.ioCurrent()
-	t.Coalescer.Begin()
-	defer t.Coalescer.End()
+	// A batch of one is the per-packet hypercall: its upcalls notify dom0
+	// one by one, as GuestTransmit's do.
+	if len(frames) > 1 {
+		t.Coalescer.Begin()
+		defer t.Coalescer.End()
+	}
 
 	sent := 0
 	for sent < len(frames) {

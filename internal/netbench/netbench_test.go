@@ -200,10 +200,10 @@ func TestPacketIntegrityAllConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 40; i++ {
-			if err := p.SendOne(0, 400+i); err != nil {
+			if _, err := p.SendBurst(0, 400+i, 1); err != nil {
 				t.Fatalf("%v send %d: %v", kind, i, err)
 			}
-			if err := p.ReceiveOne(0, 400+i); err != nil {
+			if _, err := p.ReceiveBurst(0, 400+i, 1); err != nil {
 				t.Fatalf("%v recv %d: %v", kind, i, err)
 			}
 		}

@@ -67,8 +67,8 @@ func (k Kind) String() string {
 // netfront/netback ring or no boundary at all).
 type Options struct {
 	// BatchSize is the number of frames staged per boundary crossing
-	// (SendBurst/ReceiveBurst). 0 or 1 selects the per-packet path, which
-	// is bit-for-bit the SendOne/ReceiveOne behaviour.
+	// (SendBurst/ReceiveBurst). 0 or 1 is a batch of one: the paper's
+	// per-packet hypercall.
 	BatchSize int
 
 	// PostedRX switches the receive path to posted guest buffers: ahead of
@@ -126,6 +126,7 @@ type Path struct {
 	guestPage uint32    // domU-owned page used as the guest-side buffer
 	guestMACs [][6]byte // per-guest station MACs for receive demux (Twin)
 	rxSeq     byte
+	tally     []tally // per-guest progress of the last twin burst, one per guest
 
 	// rxArena holds each guest's posted-receive buffers (PostedRX mode),
 	// allocated lazily so the legacy path's heap layout — and therefore
@@ -219,7 +220,7 @@ func NewMultiModel(kind Kind, nNICs, guests int, model *drivermodel.Model, tcfg 
 	if guests > 1 && kind != Twin {
 		return nil, fmt.Errorf("netpath: %v runs a single guest (multi-guest fan-out is the domU-twin path)", kind)
 	}
-	p := &Path{Kind: kind, Guests: guests,
+	p := &Path{Kind: kind, Guests: guests, tally: make([]tally, guests),
 		rxArena: make(map[mem.Owner]*postedArena), txArena: make(map[mem.Owner]*postedArena)}
 	var err error
 	switch kind {
@@ -283,53 +284,6 @@ func (p *Path) buildFrame(local [6]byte, rx bool, size int) ([]byte, error) {
 	return f, nil
 }
 
-// SendOne pushes one size-byte packet out through NIC index i.
-func (p *Path) SendOne(i int, size int) error {
-	d := p.M.Devs[i%len(p.M.Devs)]
-	frame, err := p.buildFrame(d.Dev.HWAddr(), false, size)
-	if err != nil {
-		return err
-	}
-	switch p.Kind {
-	case Linux:
-		err = p.sendDom0(d, frame, false)
-	case Dom0:
-		err = p.sendDom0(d, frame, true)
-	case DomU:
-		err = p.sendDomU(d, frame)
-	case Twin:
-		err = p.sendTwin(d, frame)
-	}
-	if err == nil {
-		p.TxCount++
-	}
-	return err
-}
-
-// ReceiveOne injects one size-byte packet into NIC index i and runs the
-// full receive path.
-func (p *Path) ReceiveOne(i int, size int) error {
-	d := p.M.Devs[i%len(p.M.Devs)]
-	frame, err := p.buildFrame(d.Dev.HWAddr(), true, size)
-	if err != nil {
-		return err
-	}
-	switch p.Kind {
-	case Linux:
-		err = p.recvDom0(d, frame, false)
-	case Dom0:
-		err = p.recvDom0(d, frame, true)
-	case DomU:
-		err = p.recvDomU(d, frame)
-	case Twin:
-		err = p.recvTwin(d, frame)
-	}
-	if err == nil {
-		p.RxCount++
-	}
-	return err
-}
-
 // recoverDead reports whether err is a driver death this path may treat as
 // transient: a supervisor is attached and it brought the twin back up. A
 // refused recovery (escalation tripped, rebuild failed) leaves the error
@@ -345,99 +299,84 @@ func (p *Path) recoverDead(err error) bool {
 	return true
 }
 
-// SendBurst pushes n size-byte packets out through NIC index i. On the
-// domU-twin path with BatchSize > 1 or PostedTX, frames cross the
-// guest→hypervisor boundary in batches of BatchSize (one hypercall per
-// batch; the posted path is batched by construction, so BatchSize <= 1
-// degenerates to one-frame batches); every other configuration runs the
-// per-packet path n times. It returns the number of packets that
-// completed. With a recovery supervisor attached, a driver death mid-burst
-// is healed and the burst resumes; a transmitted frame is never duplicated
-// because a faulting invocation dies before the frame reaches the wire.
+// SendBurst pushes n size-byte packets out through NIC index i, moving to
+// the next NIC with every step. Linux, dom0 and domU step one frame at a
+// time; the domU-twin path steps max(BatchSize, 1) frames, staged in the
+// guest and carried across the guest→hypervisor boundary together (a batch
+// of one is the paper's per-packet hypercall). It returns the number of
+// packets that completed. With a recovery supervisor attached, a driver
+// death mid-burst is healed and the burst resumes; a transmitted frame is
+// never duplicated because a faulting invocation dies before the frame
+// reaches the wire.
 func (p *Path) SendBurst(i, size, n int) (int, error) {
-	if p.Kind == Twin && (p.BatchSize > 1 || p.PostedTX) {
-		return p.burst(i, size, n, false)
-	}
-	for k := 0; k < n; k++ {
-		if err := p.SendOne(i+k, size); err != nil {
-			if p.recoverDead(err) {
-				p.RetriedTx++
-				k-- // the frame never left: re-send it
-				continue
-			}
-			return k, err
-		}
-	}
-	return n, nil
+	return p.burst(i, size, n, false)
 }
 
 // ReceiveBurst injects n size-byte packets into NIC index i and runs the
-// receive path. On the domU-twin path with BatchSize > 1 or PostedRX, up
-// to BatchSize frames are drained per coalesced interrupt and delivered to
-// the guest under a single notification; otherwise the per-packet path
-// runs n times. With a recovery supervisor attached, frames consumed by
-// the NIC that die with a faulted instance are counted in LostRx and
-// replacements are injected — bounded loss, not a dead path.
+// receive path, stepping as SendBurst does: on the domU-twin path each
+// step's frames are drained by one coalesced interrupt and delivered to the
+// guest under a single notification. With a recovery supervisor attached,
+// frames consumed by the NIC that die with a faulted instance are counted
+// in LostRx and replacements are injected — bounded loss, not a dead path.
 func (p *Path) ReceiveBurst(i, size, n int) (int, error) {
-	if p.Kind == Twin && (p.BatchSize > 1 || p.PostedRX) {
-		return p.burst(i, size, n, true)
-	}
-	for k := 0; k < n; k++ {
-		if err := p.ReceiveOne(i+k, size); err != nil {
-			if p.recoverDead(err) {
-				p.LostRx++
-				k-- // the injected frame died with the instance
-				continue
-			}
-			return k, err
-		}
-	}
-	return n, nil
+	return p.burst(i, size, n, true)
 }
 
-// burst chunks n packets into BatchSize batches through sendTwinBatch or
-// (rx) recvTwinBatch. A chunk completing zero packets without an error
-// ends the burst early (e.g. interrupts deferred under a masked virtual
-// IRQ flag) — retrying would only re-stage duplicate work. A driver death
-// is retried after transparent recovery, and the faulted chunk's shortfall
-// (frames the chunk consumed but never completed) is accounted as lost
-// (receive) or re-staged (transmit).
+// burst is the one chunk loop of SendBurst and ReceiveBurst. A step
+// completing zero packets without an error ends the burst early (e.g.
+// interrupts deferred under a masked virtual IRQ flag) — retrying would
+// only re-stage duplicate work.
 func (p *Path) burst(i, size, n int, rx bool) (int, error) {
-	count, shortfall := &p.TxCount, &p.RetriedTx
+	count := &p.TxCount
 	if rx {
-		count, shortfall = &p.RxCount, &p.LostRx
+		count = &p.RxCount
 	}
-	bs := p.BatchSize
-	if bs < 1 {
-		bs = 1 // the posted path batches even at the per-packet setting
-	}
-	moved := 0
-	for moved < n {
-		burst := n - moved
-		if burst > bs {
-			burst = bs
-		}
-		var done int
+	done := 0
+	for done < n {
+		d := p.M.Devs[(i+done)%len(p.M.Devs)]
+		step := 1
 		var err error
-		if rx {
-			done, err = p.recvTwinBatch(i+moved, size, burst)
-		} else {
-			done, err = p.sendTwinBatch(i+moved, size, burst)
-		}
-		moved += done
-		*count += uint64(done)
-		if err != nil {
-			if p.recoverDead(err) {
-				*shortfall += uint64(burst - done)
-				continue
+		switch {
+		case p.Kind != Twin:
+			if err = p.native(d, size, rx); err != nil {
+				step = 0
 			}
-			return moved, err
+		case rx:
+			// The stream takes its interrupts in guest context.
+			p.M.HV.Switch(p.M.DomU)
+			err = p.receive(d, size, min(max(p.BatchSize, 1), n-done), p.M.Guests[:1], nil)
+			step = p.tally[0].moved
+		default:
+			err = p.send(d, size, min(max(p.BatchSize, 1), n-done), p.M.Guests[:1])
+			step = p.tally[0].moved
 		}
-		if done == 0 {
+		done += step
+		*count += uint64(step)
+		if err != nil {
+			return done, err
+		}
+		if step == 0 {
 			break
 		}
 	}
-	return moved, nil
+	return done, nil
+}
+
+// native moves one size-byte frame through a configuration without a twin.
+func (p *Path) native(d *core.NICDev, size int, rx bool) error {
+	frame, err := p.buildFrame(d.Dev.HWAddr(), rx, size)
+	if err != nil {
+		return err
+	}
+	switch {
+	case rx && p.Kind == DomU:
+		return p.recvDomU(d, frame)
+	case rx:
+		return p.recvDom0(d, frame, p.Kind == Dom0)
+	case p.Kind == DomU:
+		return p.sendDomU(d, frame)
+	}
+	return p.sendDom0(d, frame, p.Kind == Dom0)
 }
 
 // --- Linux / dom0 -------------------------------------------------------
@@ -591,27 +530,219 @@ func (p *Path) recvDomU(d *core.NICDev, frame []byte) error {
 
 // --- TwinDrivers ----------------------------------------------------------
 
-func (p *Path) sendTwin(d *core.NICDev, frame []byte) error {
-	m := p.M
-	meter := p.Meter()
-	m.HV.Switch(m.DomU)
-	// Guest kernel stack down to the paravirtual driver.
-	meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(frame))*cost.TxKernelPerByte)
-	return p.T.GuestTransmit(d, frame)
+// tally is one guest's progress through a twin body: frames completed,
+// frames still owed in the current chunk, and (receive) frames injected for
+// it in the current round.
+type tally struct{ moved, need, round int }
+
+// send is the one domU-twin transmit body: n size-byte frames for each of
+// guests, sourced from the device MAC, out through d. Each round every
+// guest with frames owed runs its kernel stack and stages (or, PostedTX,
+// posts) them in its own transmit ring from its own context, at most a ring
+// of them, then one ServiceRings crossing drains every guest's ring
+// round-robin — the boundary cost amortizes across guests as well as
+// frames. A single guest in copy mode stages and crosses in one
+// GuestTransmitBatch instead, which returns no per-guest map. Per-guest
+// completions land in p.tally. A driver death revives the twin and
+// re-stages every frame the dead instance discarded, counted in RetriedTx
+// (the abort reset the rings, so nothing is phantom-delivered or
+// duplicated); a round that moves nothing ends the call short.
+func (p *Path) send(d *core.NICDev, size, n int, guests []*xen.Domain) error {
+	t := p.tally[:len(guests)]
+	clear(t)
+	var cross *core.NICDev
+	if len(guests) == 1 && !p.PostedTX {
+		cross = d
+	}
+	for remaining := n; remaining > 0; {
+		chunk := min(remaining, core.TxRingSlots)
+		for g := range t {
+			t[g].need = chunk
+		}
+		for {
+			staged, sent, err := p.sendRound(d, size, guests, cross)
+			if err != nil {
+				if p.recoverDead(err) {
+					p.RetriedTx += uint64(staged - sent)
+					continue
+				}
+				return err
+			}
+			pending := 0
+			for g := range t {
+				pending += t[g].need
+			}
+			if pending == 0 {
+				break
+			}
+			if sent == 0 {
+				return nil
+			}
+		}
+		remaining -= chunk
+	}
+	return nil
 }
 
-func (p *Path) recvTwin(d *core.NICDev, frame []byte) error {
-	m := p.M
-	m.HV.Switch(m.DomU)
-	if !d.Dev.Inject(frame) {
-		return fmt.Errorf("netpath: rx overrun")
+// sendRound stages every guest's owed frames and crosses once (with cross
+// set, the one guest's GuestTransmitBatch is both). It returns the frames
+// staged and the frames sent.
+func (p *Path) sendRound(d *core.NICDev, size int, guests []*xen.Domain, cross *core.NICDev) (staged, sent int, err error) {
+	t := p.tally
+	for g, dom := range guests {
+		if t[g].need == 0 {
+			continue
+		}
+		var buf [core.TxRingSlots][]byte
+		frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, t[g].need)
+		if err != nil {
+			return staged, 0, err
+		}
+		k, err := p.stageTx(dom, frames, p.PostedTX, cross)
+		if cross != nil {
+			t[g].moved += k
+			t[g].need -= k
+			return len(frames), k, err
+		}
+		staged += k
+		if err != nil {
+			return staged, 0, err
+		}
+		if k != len(frames) {
+			return staged, 0, fmt.Errorf("netpath: guest %d staged %d of %d", dom.ID, k, len(frames))
+		}
 	}
-	// The interrupt runs the hypervisor driver directly in guest context.
+	// One boundary crossing drains every guest's ring; it runs in
+	// whichever guest context is current.
+	got, err := p.T.ServiceRings(d, 0)
+	for g, dom := range guests {
+		t[g].moved += got[dom.ID]
+		t[g].need -= got[dom.ID]
+		sent += got[dom.ID]
+	}
+	return staged, sent, err
+}
+
+// rxRoom is the most frames one receive round may inject into the device:
+// half the descriptor slots across its queues (128 on the e1000's 256-slot
+// ring and on the mqnic's eight 32-slot rings), or, on a byte ring, the
+// size-byte frames — each behind the 4-byte header, padded to a word — that
+// fit in its length less the one byte that tells full from empty.
+func (p *Path) rxRoom(size int) int {
+	g := p.M.Model.Geometry
+	if g.RxByteRing {
+		return max((g.RxSlots-1)/((max(size, 60)+4+3)&^3), 1)
+	}
+	return g.RxSlots * max(p.M.Model.Queues, 1) / 2
+}
+
+// receive is the one domU-twin receive body: n size-byte frames for each of
+// guests, addressed to macs[g] (or, with macs nil, to the device MAC),
+// injected into d in rounds the device's ring holds (rxRoom; the posted
+// path also stays within each guest's posted-RX ring), serviced with one
+// coalesced interrupt per round and delivered to each guest in its own
+// context under a single notification per guest. Past rxRoom guests even a
+// one-frame-per-guest round would overrun the device, so a round's fan-in
+// is processed in waves of at most rxRoom guests, one interrupt per wave.
+// Per-guest deliveries land in p.tally. Frames that die with a faulted
+// instance count in LostRx and the round repeats with replacements; a round
+// that delivers nothing to any guest ends the call short.
+func (p *Path) receive(d *core.NICDev, size, n int, guests []*xen.Domain, macs [][6]byte) error {
+	t := p.tally[:len(guests)]
+	clear(t)
+	room := p.rxRoom(size)
+	maxRound := max(room/len(guests), 1)
+	if p.PostedRX {
+		maxRound = min(maxRound, core.RxRingSlots)
+	}
+	wave := min(len(guests), room)
+	for remaining := n; remaining > 0; {
+		chunk := min(remaining, maxRound)
+		for g := range t {
+			t[g].need = chunk
+		}
+	rounds:
+		for {
+			delivered := 0
+			for lo := 0; lo < len(guests); lo += wave {
+				injected, got, err := p.receiveWave(d, size, guests, macs, lo, min(lo+wave, len(guests)))
+				delivered += got
+				if err != nil {
+					if p.recoverDead(err) {
+						// The device reset dropped every frame of the wave
+						// not yet delivered.
+						p.LostRx += uint64(injected - got)
+						continue rounds
+					}
+					return err
+				}
+			}
+			pending := 0
+			for g := range t {
+				pending += t[g].need
+			}
+			if pending == 0 {
+				break
+			}
+			if delivered == 0 {
+				return nil
+			}
+		}
+		remaining -= chunk
+	}
+	return nil
+}
+
+// receiveWave runs one interrupt's fan-in for guests[lo:hi]: in posted mode
+// every guest first posts its buffers from its own context (a ring holding
+// leftovers may take fewer, and only what it took is injected); then each
+// guest's owed frames are injected, one interrupt services them all, and
+// each guest takes delivery in its own context. Lost or dropped frames are
+// counted once inside deliverGuest; need stays up for them, so the round
+// repeats and injects replacements. It returns the frames injected and
+// delivered.
+func (p *Path) receiveWave(d *core.NICDev, size int, guests []*xen.Domain, macs [][6]byte, lo, hi int) (injected, delivered int, err error) {
+	t := p.tally
+	for g := lo; g < hi; g++ {
+		t[g].round = t[g].need
+		if p.PostedRX && t[g].need > 0 {
+			p.M.HV.Switch(guests[g])
+			if t[g].round, err = p.postBuffers(guests[g], t[g].need); err != nil {
+				return 0, 0, err
+			}
+		}
+	}
+	for g := lo; g < hi; g++ {
+		mac := d.Dev.HWAddr()
+		if macs != nil {
+			mac = macs[g]
+		}
+		for k := 0; k < t[g].round; k++ {
+			f, err := p.buildFrame(mac, true, size)
+			if err != nil {
+				return injected, 0, err
+			}
+			if !d.Dev.Inject(f) {
+				return injected, 0, fmt.Errorf("netpath: rx overrun")
+			}
+			injected++
+		}
+	}
+	// One interrupt for the wave's fan-in, in whatever context runs.
 	if err := p.T.HandleIRQ(d); err != nil {
-		return err
+		return injected, 0, err
 	}
-	_, err := p.deliverGuest(m.DomU, 0, false)
-	return err
+	p.T.Coalescer.Begin()
+	for g := lo; g < hi && err == nil; g++ {
+		p.M.HV.Switch(guests[g])
+		var got int
+		got, err = p.deliverGuest(guests[g], t[g].round, p.PostedRX)
+		t[g].moved += got
+		t[g].need -= got
+		delivered += got
+	}
+	p.T.Coalescer.End()
+	return injected, delivered, err
 }
 
 // deliverGuest delivers at most max (0 means all) of dom's queued frames,
@@ -652,121 +783,6 @@ func (p *Path) deliverGuest(dom *xen.Domain, max int, posted bool) (int, error) 
 	return len(pkts), err
 }
 
-// sendTwinBatch moves burst frames of the first guest across the boundary.
-// The guest kernel work stays per-packet (the stack runs for every frame).
-// In copy mode one GuestTransmitBatch stages the frames and crosses once,
-// so the hypercall amortizes over the batch. In PostedTX mode each
-// ring-sized chunk is posted (stageTxMulti) and one ServiceRings crossing
-// resolves, pins and hands the guest pages to the device.
-func (p *Path) sendTwinBatch(i, size, burst int) (int, error) {
-	m := p.M
-	// A batch targets one device: the ring is per-vif, as in netfront.
-	d := m.Devs[i%len(m.Devs)]
-	if !p.PostedTX {
-		m.HV.Switch(m.DomU)
-		var buf [core.TxRingSlots][]byte
-		frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, burst)
-		if err != nil {
-			return 0, err
-		}
-		meter := p.Meter()
-		for _, f := range frames {
-			meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(f))*cost.TxKernelPerByte)
-		}
-		return p.T.GuestTransmitBatch(d, frames)
-	}
-	done := 0
-	for done < burst {
-		chunk := burst - done
-		if chunk > core.TxRingSlots {
-			chunk = core.TxRingSlots
-		}
-		var buf [core.TxRingSlots][]byte
-		frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, chunk)
-		if err != nil {
-			return done, err
-		}
-		posted, err := p.stageTxMulti(m.DomU, frames, true)
-		if err != nil {
-			return done, err
-		}
-		if posted < chunk {
-			return done, fmt.Errorf("netpath: posted %d of %d tx descriptors", posted, chunk)
-		}
-		sent, err := p.T.ServiceRings(d, 0)
-		got := sent[m.DomU.ID]
-		done += got
-		if err != nil {
-			return done, err
-		}
-		if got == 0 {
-			// A round that transmitted nothing cannot make progress by
-			// repeating: return the short count instead of looping.
-			break
-		}
-	}
-	return done, nil
-}
-
-// recvTwinBatch injects burst frames, services them with one coalesced
-// interrupt (the driver's receive loop drains everything pending), and
-// delivers the batch to the guest under a single notification. In PostedRX
-// mode the guest first posts a receive buffer per frame, a ring-sized
-// chunk at a time, and only what the ring accepted is injected (it may
-// hold leftovers from a short round).
-func (p *Path) recvTwinBatch(i, size, burst int) (int, error) {
-	m := p.M
-	m.HV.Switch(m.DomU)
-	d := m.Devs[i%len(m.Devs)]
-	done := 0
-	for done < burst {
-		chunk := burst - done
-		if p.PostedRX {
-			if chunk > core.RxRingSlots {
-				chunk = core.RxRingSlots
-			}
-			var err error
-			if chunk, err = p.postBuffers(m.DomU, chunk); err != nil {
-				return done, err
-			}
-			if chunk == 0 {
-				break
-			}
-		}
-		for k := 0; k < chunk; k++ {
-			f, err := p.buildFrame(d.Dev.HWAddr(), true, size)
-			if err != nil {
-				return done, err
-			}
-			if !d.Dev.Inject(f) {
-				return done, fmt.Errorf("netpath: rx overrun")
-			}
-		}
-		// One interrupt for the whole chunk: the hypervisor driver's receive
-		// loop drains every pending descriptor in this invocation.
-		p.T.Coalescer.Begin()
-		got := 0
-		err := p.T.HandleIRQ(d)
-		if err == nil {
-			got, err = p.deliverGuest(m.DomU, chunk, p.PostedRX)
-		}
-		p.T.Coalescer.End()
-		done += got
-		if err != nil {
-			return done, err
-		}
-		if got == 0 || !p.PostedRX {
-			// Copy mode is one pass: a short delivery is the caller's to
-			// continue. A posted round that delivered nothing cannot make
-			// progress by repeating (nothing posted, or every frame exceeds
-			// the posted buffer size): return the short count instead of
-			// re-posting and re-losing forever.
-			break
-		}
-	}
-	return done, nil
-}
-
 // txFrames appends count size-byte transmit frames sourced from src to
 // frames, in generation order.
 func (p *Path) txFrames(frames [][]byte, src [6]byte, size, count int) ([][]byte, error) {
@@ -780,19 +796,24 @@ func (p *Path) txFrames(frames [][]byte, src [6]byte, size, count int) ([][]byte
 	return frames, nil
 }
 
-// stageTxMulti is the guest-side transmit producer: it moves one guest's
+// stageTx is the guest-side transmit producer: it moves one guest's
 // frames to the hypervisor boundary, in guest context, charging the guest
 // kernel stack per frame — the staging-ring copy in copy mode, or (posted)
 // a write into the guest's own transmit arena (in the real system the
 // frame already sits in guest memory) plus an (addr,len) descriptor post,
 // which replaces the staging copy's per-byte cost. It returns how many
-// frames were staged or posted.
-func (p *Path) stageTxMulti(dom *xen.Domain, frames [][]byte, posted bool) (int, error) {
+// frames were staged or posted. In copy mode with cross set the guest also
+// crosses: one GuestTransmitBatch stages the frames and drains them through
+// cross in the same hypercall, and the count is of frames sent.
+func (p *Path) stageTx(dom *xen.Domain, frames [][]byte, posted bool, cross *core.NICDev) (int, error) {
 	meter := p.Meter()
 	p.M.HV.Switch(dom)
 	if !posted {
 		for _, f := range frames {
 			meter.AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(f))*cost.TxKernelPerByte)
+		}
+		if cross != nil {
+			return p.T.GuestTransmitBatch(cross, frames)
 		}
 		return p.T.StageTransmitBatch(dom, frames)
 	}
@@ -813,220 +834,49 @@ func (p *Path) stageTxMulti(dom *xen.Domain, frames [][]byte, posted bool) (int,
 // --- Multi-guest fan-out (domU-twin only) ---------------------------------
 
 // SendBurstMulti pushes n size-byte packets per guest out through NIC
-// index i: every guest runs its kernel stack and stages a ring-sized chunk
-// in its own transmit ring from its own context, then a single
-// Twin.ServiceRings crossing drains all guests' rings round-robin — the
-// boundary cost amortizes across guests as well as frames. It returns the
-// per-guest completion counts. With a recovery supervisor attached, a
-// driver death mid-drain revives the twin and re-stages every frame the
-// dead instance discarded (the abort reset the rings, so nothing is
-// phantom-delivered or duplicated).
+// index i: every guest stages its frames in its own transmit ring from its
+// own context, and one ServiceRings crossing per ring-sized round drains
+// all guests' rings round-robin (see send). It returns the per-guest
+// completion counts. With a recovery supervisor attached, a driver death
+// mid-drain revives the twin and re-stages every frame the dead instance
+// discarded.
 func (p *Path) SendBurstMulti(i, size, n int) (map[mem.Owner]int, error) {
 	if p.Kind != Twin {
 		return nil, fmt.Errorf("netpath: multi-guest bursts need the domU-twin path")
 	}
-	m := p.M
-	d := m.Devs[i%len(m.Devs)]
-	total := make(map[mem.Owner]int)
-	need := make(map[mem.Owner]int) // frames still to move in this round
-	for remaining := n; remaining > 0; {
-		chunk := remaining
-		if chunk > core.TxRingSlots {
-			chunk = core.TxRingSlots
-		}
-		for _, dom := range m.Guests {
-			need[dom.ID] = chunk
-		}
-		for {
-			for _, dom := range m.Guests {
-				if need[dom.ID] == 0 {
-					continue
-				}
-				var buf [core.TxRingSlots][]byte
-				frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, need[dom.ID])
-				if err != nil {
-					return total, err
-				}
-				staged, err := p.stageTxMulti(dom, frames, p.PostedTX)
-				if err != nil {
-					if p.recoverDead(err) {
-						continue // re-stage this guest on the fresh twin
-					}
-					return total, err
-				}
-				if staged != need[dom.ID] {
-					return total, fmt.Errorf("netpath: guest %d staged %d of %d", dom.ID, staged, need[dom.ID])
-				}
-			}
-			// One boundary crossing drains every guest's ring; it runs in
-			// whichever guest context is current.
-			sent, err := p.T.ServiceRings(d, 0)
-			pending := 0
-			for id, c := range sent {
-				total[id] += c
-				need[id] -= c
-				p.TxCount += uint64(c)
-			}
-			for _, c := range need {
-				pending += c
-			}
-			if err != nil {
-				if p.recoverDead(err) {
-					// The abort discarded every staged-but-undrained frame;
-					// re-stage them on the recovered instance.
-					p.RetriedTx += uint64(pending)
-					continue
-				}
-				return total, err
-			}
-			if pending == 0 {
-				break
-			}
-		}
-		remaining -= chunk
-	}
-	return total, nil
+	err := p.send(p.M.Devs[i%len(p.M.Devs)], size, n, p.M.Guests)
+	return p.perGuest(&p.TxCount, n, err)
 }
 
 // ReceiveBurstMulti injects n size-byte packets per guest (addressed to
 // each guest's registered MAC), services them with one coalesced interrupt
 // per round, and delivers each guest's batch in its own context under a
-// single notification per guest per window. It returns the per-guest
-// delivery counts.
+// single notification per guest per window (see receive). It returns the
+// per-guest delivery counts.
 func (p *Path) ReceiveBurstMulti(i, size, n int) (map[mem.Owner]int, error) {
 	if p.Kind != Twin {
 		return nil, fmt.Errorf("netpath: multi-guest bursts need the domU-twin path")
 	}
-	m := p.M
-	d := m.Devs[i%len(m.Devs)]
-	total := make(map[mem.Owner]int)
-	// Bound each round so guests*chunk stays within the NIC's descriptor
-	// ring (256 slots, one kept empty); the posted path additionally stays
-	// within each guest's posted-RX ring.
-	maxRound := 128 / len(m.Guests)
-	if maxRound < 1 {
-		maxRound = 1
-	}
-	if p.PostedRX && maxRound > core.RxRingSlots {
-		maxRound = core.RxRingSlots
-	}
-	// Past 128 guests even a one-frame-per-guest round overruns the NIC
-	// ring, so each round's fan-in is processed in waves of at most 128
-	// guests, one coalesced interrupt per wave. At 128 guests or fewer
-	// there is exactly one wave covering every guest — the historical
-	// behaviour, operation for operation.
-	waveGuests := len(m.Guests)
-	if waveGuests > 128 {
-		waveGuests = 128
-	}
-	need := make(map[mem.Owner]int) // frames still to deliver in this round
-	for remaining := n; remaining > 0; {
-		chunk := remaining
-		if chunk > maxRound {
-			chunk = maxRound
+	err := p.receive(p.M.Devs[i%len(p.M.Devs)], size, n, p.M.Guests, p.guestMACs)
+	return p.perGuest(&p.RxCount, n, err)
+}
+
+// perGuest returns the last fan-out's per-guest counts keyed by domain (a
+// guest that moved nothing is absent) and adds them to count. A fan-out
+// moves all n frames of every guest or fails: a short one is an error.
+func (p *Path) perGuest(count *uint64, n int, err error) (map[mem.Owner]int, error) {
+	out := make(map[mem.Owner]int)
+	for g, dom := range p.M.Guests {
+		c := p.tally[g].moved
+		if c > 0 {
+			out[dom.ID] = c
+			*count += uint64(c)
 		}
-		for _, dom := range m.Guests {
-			need[dom.ID] = chunk
+		if c < n && err == nil {
+			err = fmt.Errorf("netpath: guest %d moved %d of %d frames", dom.ID, c, n)
 		}
-	waves:
-		for {
-			roundDelivered := 0
-			for ws := 0; ws < len(m.Guests); ws += waveGuests {
-				we := ws + waveGuests
-				if we > len(m.Guests) {
-					we = len(m.Guests)
-				}
-				wave := m.Guests[ws:we]
-				// Posted mode: every guest posts its buffers first, from its
-				// own context — delivery then copies straight into them.
-				if p.PostedRX {
-					for _, dom := range wave {
-						if need[dom.ID] == 0 {
-							continue
-						}
-						m.HV.Switch(dom)
-						posted, err := p.postBuffers(dom, need[dom.ID])
-						if err != nil {
-							if p.recoverDead(err) {
-								continue // repost on the fresh twin
-							}
-							return total, err
-						}
-						if posted != need[dom.ID] {
-							return total, fmt.Errorf("netpath: guest %d posted %d of %d buffers", dom.ID, posted, need[dom.ID])
-						}
-					}
-				}
-				injected := 0
-				for g, dom := range wave {
-					for k := 0; k < need[dom.ID]; k++ {
-						f, err := p.buildFrame(p.guestMACs[ws+g], true, size)
-						if err != nil {
-							return total, err
-						}
-						if !d.Dev.Inject(f) {
-							return total, fmt.Errorf("netpath: rx overrun")
-						}
-						injected++
-					}
-				}
-				// One interrupt for the wave's fan-in, in whatever context runs.
-				if err := p.T.HandleIRQ(d); err != nil {
-					if p.recoverDead(err) {
-						// The device reset dropped everything just injected.
-						p.LostRx += uint64(injected)
-						continue waves
-					}
-					return total, err
-				}
-				delivered := 0
-				p.T.Coalescer.Begin()
-				var dead error
-				for _, dom := range wave {
-					m.HV.Switch(dom)
-					// Lost or dropped frames are counted once inside; need
-					// stays up for them, so the round repeats and injects
-					// replacements.
-					var got int
-					got, dead = p.deliverGuest(dom, need[dom.ID], p.PostedRX)
-					total[dom.ID] += got
-					need[dom.ID] -= got
-					delivered += got
-					roundDelivered += got
-					p.RxCount += uint64(got)
-					if dead != nil {
-						break
-					}
-				}
-				p.T.Coalescer.End()
-				if dead != nil {
-					if p.recoverDead(dead) {
-						// Undelivered frames of this fan-in died with the
-						// instance (queued packets dropped, device reset).
-						p.LostRx += uint64(injected - delivered)
-						continue waves
-					}
-					return total, dead
-				}
-			}
-			pending := 0
-			for _, c := range need {
-				pending += c
-			}
-			if pending == 0 {
-				break
-			}
-			if p.PostedRX && roundDelivered == 0 {
-				// Replacement frames are only injected while rounds make
-				// progress; a round that delivered nothing to any guest
-				// (every frame oversize for its posted buffer, say) would
-				// repeat identically forever.
-				return total, fmt.Errorf("netpath: posted delivery made no progress (%d frames pending)", pending)
-			}
-		}
-		remaining -= chunk
 	}
-	return total, nil
+	return out, err
 }
 
 // --- Weighted-fair contention + inter-guest switch (domU-twin only) -------
@@ -1070,7 +920,7 @@ func (p *Path) SendContended(i, size, crossings, budget int) (map[mem.Owner]int,
 			if err != nil {
 				return total, err
 			}
-			staged, err := p.stageTxMulti(dom, frames, p.PostedTX)
+			staged, err := p.stageTx(dom, frames, p.PostedTX, nil)
 			if err != nil {
 				if p.recoverDead(err) {
 					continue // re-stage this guest next crossing
@@ -1132,7 +982,7 @@ func (p *Path) SendLocal(i, size, n, src, dst int) (int, error) {
 		for _, f := range frames {
 			copy(f, p.guestMACs[dst][:]) // readdress from the external sink to guest dst
 		}
-		staged, err := p.stageTxMulti(sdom, frames, false)
+		staged, err := p.stageTx(sdom, frames, false, nil)
 		if err != nil {
 			return done, err
 		}

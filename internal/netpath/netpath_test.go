@@ -2,6 +2,8 @@ package netpath
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"twindrivers/internal/core"
@@ -27,12 +29,12 @@ func TestLinuxChargesNoVirt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := p.SendOne(0, 1000); err != nil {
+		if _, err := p.SendBurst(0, 1000, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.ResetMeasurement()
-	if err := p.SendOne(0, 1000); err != nil {
+	if _, err := p.SendBurst(0, 1000, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v := p.Meter().Get(cycles.CompXen); v != 0 {
@@ -49,10 +51,10 @@ func TestDom0ChargesVirtOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		p.SendOne(0, 1000)
+		p.SendBurst(0, 1000, 1)
 	}
 	p.ResetMeasurement()
-	if err := p.SendOne(0, 1000); err != nil {
+	if _, err := p.SendBurst(0, 1000, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v := p.Meter().Get(cycles.CompXen); v != cost.Dom0VirtPerPacketTx {
@@ -68,7 +70,7 @@ func TestDomUPathMovesRealBytes(t *testing.T) {
 	d := p.M.Devs[0]
 	var wire [][]byte
 	d.NIC.OnTransmit = func(pkt []byte) { wire = append(wire, append([]byte(nil), pkt...)) }
-	if err := p.SendOne(0, 777); err != nil {
+	if _, err := p.SendBurst(0, 777, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(wire) != 1 || len(wire[0]) != 777 {
@@ -91,11 +93,11 @@ func TestDomUSwitchesTwicePerPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		p.SendOne(0, 500)
+		p.SendBurst(0, 500, 1)
 	}
 	p.ResetMeasurement()
 	for i := 0; i < 10; i++ {
-		if err := p.SendOne(0, 500); err != nil {
+		if _, err := p.SendBurst(0, 500, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,15 +112,15 @@ func TestTwinPathZeroSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		p.SendOne(0, 500)
-		p.ReceiveOne(0, 500)
+		p.SendBurst(0, 500, 1)
+		p.ReceiveBurst(0, 500, 1)
 	}
 	p.ResetMeasurement()
 	for i := 0; i < 10; i++ {
-		if err := p.SendOne(0, 500); err != nil {
+		if _, err := p.SendBurst(0, 500, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.ReceiveOne(0, 500); err != nil {
+		if _, err := p.ReceiveBurst(0, 500, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +139,7 @@ func TestReceiveDeliversToGuestStack(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			if err := p.ReceiveOne(0, 900); err != nil {
+			if _, err := p.ReceiveBurst(0, 900, 1); err != nil {
 				t.Fatalf("%v: %v", kind, err)
 			}
 		}
@@ -158,7 +160,7 @@ func TestMultiNICRoundRobin(t *testing.T) {
 		d.NIC.OnTransmit = func([]byte) { counts[i]++ }
 	}
 	for i := 0; i < 9; i++ {
-		if err := p.SendOne(i, 200); err != nil {
+		if _, err := p.SendBurst(i, 200, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,35 +171,146 @@ func TestMultiNICRoundRobin(t *testing.T) {
 	}
 }
 
+// charges is what the fold tests compare: the cycle total, the
+// per-component breakdown, and the boundary crossings and notifications.
+type charges struct {
+	total              uint64
+	buckets            string
+	hypercalls, events uint64
+}
+
+func measured(p *Path) charges {
+	return charges{p.Meter().Total(), p.Meter().String(), p.M.HV.Hypercalls, p.M.HV.Events}
+}
+
+// perPacketSend and perPacketReceive are the per-packet twin sequence the
+// burst body replaced, kept as the reference a batch of one must equal:
+// the guest stack and one GuestTransmit hypercall per frame; one injected
+// frame, one interrupt and one delivery with the paravirtual driver's
+// charges per frame.
+func perPacketSend(p *Path, size int) error {
+	d := p.M.Devs[0]
+	f, err := p.buildFrame(d.Dev.HWAddr(), false, size)
+	if err != nil {
+		return err
+	}
+	p.M.HV.Switch(p.M.DomU)
+	p.Meter().AddTo(cycles.CompDomU, cost.TxKernelFixed+uint64(len(f))*cost.TxKernelPerByte)
+	return p.T.GuestTransmit(d, f)
+}
+
+func perPacketReceive(p *Path, size int) error {
+	d := p.M.Devs[0]
+	f, err := p.buildFrame(d.Dev.HWAddr(), true, size)
+	if err != nil {
+		return err
+	}
+	p.M.HV.Switch(p.M.DomU)
+	if !d.Dev.Inject(f) {
+		return errors.New("rx overrun")
+	}
+	if err := p.T.HandleIRQ(d); err != nil {
+		return err
+	}
+	pkts, err := p.T.DeliverPending(p.M.DomU)
+	for _, pkt := range pkts {
+		p.Meter().AddTo(cycles.CompDomU, cost.PvDriverRx)
+		p.Meter().AddTo(cycles.CompDomU, cost.RxKernelFixed+uint64(len(pkt))*cost.RxKernelPerByte)
+	}
+	return err
+}
+
+// TestSendBurstBatchOneMatchesPerPacket: SendBurst and ReceiveBurst at a
+// batch of one charge exactly what the per-packet sequence does over 50
+// frames — cycles, buckets, hypercalls and events — with the default
+// hypervisor support and with the spinlock routines turned into upcalls
+// (Figure 10's per-invocation upcalls must not be coalesced).
 func TestSendBurstBatchOneMatchesPerPacket(t *testing.T) {
-	run := func(batched bool) uint64 {
-		p, err := New(Twin, 1, core.TwinConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 16; i++ {
-			if err := p.SendOne(i, 1000); err != nil {
+	const frames, size = 50, 1000
+	upcalls := slices.DeleteFunc(core.DefaultHvSupport(), func(name string) bool {
+		return name == "spin_trylock" || name == "spin_unlock_irqrestore"
+	})
+	for _, sup := range [][]string{nil, upcalls} {
+		run := func(send, receive func(p *Path) error) (tx, rx charges) {
+			p, err := New(Twin, 1, core.TwinConfig{HvSupport: sup})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		p.ResetMeasurement()
-		if batched {
 			p.BatchSize = 1
-			if n, err := p.SendBurst(0, 1000, 16); err != nil || n != 16 {
-				t.Fatalf("burst: n=%d err=%v", n, err)
+			phase := func(step func(p *Path) error) charges {
+				for i := 0; i < 8; i++ { // warm-up
+					if err := step(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				p.ResetMeasurement()
+				for i := 0; i < frames; i++ {
+					if err := step(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return measured(p)
 			}
-		} else {
-			for i := 0; i < 16; i++ {
-				if err := p.SendOne(i, 1000); err != nil {
-					t.Fatal(err)
+			return phase(send), phase(receive)
+		}
+		refTx, refRx := run(
+			func(p *Path) error { return perPacketSend(p, size) },
+			func(p *Path) error { return perPacketReceive(p, size) })
+		tx, rx := run(
+			func(p *Path) error { _, err := p.SendBurst(0, size, 1); return err },
+			func(p *Path) error { _, err := p.ReceiveBurst(0, size, 1); return err })
+		if tx != refTx {
+			t.Errorf("%d support routines: SendBurst at batch 1\n got  %+v\n want %+v", len(sup), tx, refTx)
+		}
+		if rx != refRx {
+			t.Errorf("%d support routines: ReceiveBurst at batch 1\n got  %+v\n want %+v", len(sup), rx, refRx)
+		}
+	}
+}
+
+// TestStreamIsFanOutOverOneGuest: the single-guest stream and the
+// multi-guest fan-out over one guest are the same body — copy and posted,
+// both directions, batch 8 and 32, started from guest context — so they
+// charge the same cycles, buckets, hypercalls and events.
+func TestStreamIsFanOutOverOneGuest(t *testing.T) {
+	for _, posted := range []bool{false, true} {
+		for _, batch := range []int{8, 32} {
+			for _, rx := range []bool{false, true} {
+				run := func(multi bool) charges {
+					p, err := New(Twin, 1, core.TwinConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.BatchSize, p.PostedTX, p.PostedRX = batch, posted, posted
+					p.M.HV.Switch(p.M.DomU)
+					step := func() {
+						var err error
+						switch {
+						case multi && rx:
+							_, err = p.ReceiveBurstMulti(0, 600, batch)
+						case multi:
+							_, err = p.SendBurstMulti(0, 600, batch)
+						case rx:
+							_, err = p.ReceiveBurst(0, 600, batch)
+						default:
+							_, err = p.SendBurst(0, 600, batch)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					step()
+					p.ResetMeasurement()
+					for i := 0; i < 4; i++ {
+						step()
+					}
+					return measured(p)
+				}
+				if stream, fan := run(false), run(true); stream != fan {
+					t.Errorf("posted=%v batch=%d rx=%v:\n stream  %+v\n fan-out %+v", posted, batch, rx, stream, fan)
 				}
 			}
 		}
-		return p.Meter().Total()
-	}
-	per, burst := run(false), run(true)
-	if per != burst {
-		t.Errorf("batch-1 burst = %d cycles, per-packet = %d", burst, per)
 	}
 }
 
@@ -280,22 +393,22 @@ func TestUndersizedFrameRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, size := range []int{0, 13} {
-			if err := p.SendOne(0, size); err == nil {
-				t.Errorf("%v SendOne(size=%d) succeeded", kind, size)
+			if _, err := p.SendBurst(0, size, 1); err == nil {
+				t.Errorf("%v SendBurst(size=%d) succeeded", kind, size)
 			}
-			if err := p.ReceiveOne(0, size); err == nil {
-				t.Errorf("%v ReceiveOne(size=%d) succeeded", kind, size)
+			if _, err := p.ReceiveBurst(0, size, 1); err == nil {
+				t.Errorf("%v ReceiveBurst(size=%d) succeeded", kind, size)
 			}
 		}
 		if p.TxCount != 0 || p.RxCount != 0 {
 			t.Errorf("%v counted rejected frames: tx=%d rx=%d", kind, p.TxCount, p.RxCount)
 		}
 		// Size 14 (padded to the Ethernet minimum on the wire) works.
-		if err := p.SendOne(0, 14); err != nil {
-			t.Errorf("%v SendOne(size=14): %v", kind, err)
+		if _, err := p.SendBurst(0, 14, 1); err != nil {
+			t.Errorf("%v SendBurst(size=14): %v", kind, err)
 		}
-		if err := p.ReceiveOne(0, 14); err != nil {
-			t.Errorf("%v ReceiveOne(size=14): %v", kind, err)
+		if _, err := p.ReceiveBurst(0, 14, 1); err != nil {
+			t.Errorf("%v ReceiveBurst(size=14): %v", kind, err)
 		}
 	}
 }
@@ -341,6 +454,28 @@ func TestMultiGuestBursts(t *testing.T) {
 	}
 	if p.RxCount != guests*6 {
 		t.Errorf("RxCount = %d", p.RxCount)
+	}
+}
+
+// TestStreamOnMultiGuestPath: the single-guest stream on a path with
+// several guests serves the first guest alone — one crossing per batch,
+// nothing owed for the guests it does not serve.
+func TestStreamOnMultiGuestPath(t *testing.T) {
+	p, err := NewMulti(Twin, 1, 4, core.TwinConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.M.Devs[0].NIC.OnTransmit = func([]byte) {}
+	p.BatchSize = 8
+	p.M.HV.ResetStats()
+	if n, err := p.SendBurst(0, 600, 8); err != nil || n != 8 {
+		t.Fatalf("send: %d, %v", n, err)
+	}
+	if p.M.HV.Hypercalls != 1 {
+		t.Errorf("hypercalls = %d, want 1", p.M.HV.Hypercalls)
+	}
+	if n, err := p.ReceiveBurst(0, 600, 8); err != nil || n != 8 {
+		t.Fatalf("receive: %d, %v", n, err)
 	}
 }
 

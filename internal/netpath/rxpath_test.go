@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"twindrivers/internal/core"
+	"twindrivers/internal/drivermodel"
+	"twindrivers/internal/e1000"
+	"twindrivers/internal/mem"
+	"twindrivers/internal/rtl8139"
 )
 
 // Posted-receive path tests at the configuration level: full bursts, the
@@ -163,5 +167,48 @@ func TestPostedZeroProgressRoundTerminates(t *testing.T) {
 	}
 	if p.LostRx != 4 {
 		t.Fatalf("losses double-counted: LostRx = %d", p.LostRx)
+	}
+}
+
+// TestReceiveRoundsFitTheDevice: a receive step larger than the device's
+// receive ring is issued in rounds the ring holds — whole MTU frames in the
+// rtl8139's 64 KiB byte ring, half the e1000's 256 descriptors — so every
+// frame is delivered and none is lost, on the stream and on the fan-out.
+func TestReceiveRoundsFitTheDevice(t *testing.T) {
+	cases := []struct {
+		name          string
+		model         *drivermodel.Model
+		batch, frames int
+		multi         bool
+	}{
+		{"rtl8139 stream", rtl8139.DriverModel(), 64, 64, false},
+		{"e1000 stream", e1000.DriverModel(), 300, 300, false},
+		{"rtl8139 fan-out", rtl8139.DriverModel(), 0, 64, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := NewMultiModel(Twin, 1, 1, c.model, core.TwinConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.BatchSize = c.batch
+			for round := 0; round < 2; round++ {
+				got := 0
+				if c.multi {
+					var m map[mem.Owner]int
+					m, err = p.ReceiveBurstMulti(0, 1514, c.frames)
+					got = m[p.M.DomU.ID]
+				} else {
+					got, err = p.ReceiveBurst(0, 1514, c.frames)
+				}
+				if err != nil || got != c.frames {
+					t.Fatalf("burst %d: delivered %d of %d: %v", round, got, c.frames, err)
+				}
+			}
+			if p.RxCount != uint64(2*c.frames) || p.LostRx != 0 || p.T.PendingRx(p.M.DomU.ID) != 0 {
+				t.Errorf("RxCount %d LostRx %d pending %d, want %d, 0, 0",
+					p.RxCount, p.LostRx, p.T.PendingRx(p.M.DomU.ID), 2*c.frames)
+			}
+		})
 	}
 }
