@@ -62,7 +62,9 @@ func Layout(name string, u *Unit, codeBase, dataBase uint32, r Resolver) (*Image
 		dataSize:  make(map[string]uint32),
 	}
 
-	// Pass 1: place functions and data.
+	// Pass 1: place functions and data, and size the instruction tables
+	// (an image holds thousands of records; growing them by append would
+	// copy each one several times).
 	addr := codeBase
 	for _, f := range u.Funcs {
 		im.funcStart[f.Name] = addr
@@ -70,6 +72,9 @@ func Layout(name string, u *Unit, codeBase, dataBase uint32, r Resolver) (*Image
 		addr += uint32(len(f.Insts)) * InstSlot
 	}
 	im.CodeEnd = addr
+	n := (addr - codeBase) / InstSlot
+	im.insts = make([]isa.Inst, 0, n)
+	im.targets = make([]uint32, 0, n)
 
 	daddr := dataBase
 	for _, d := range u.Datas {

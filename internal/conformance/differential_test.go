@@ -122,7 +122,10 @@ func runDifferential(t *testing.T, model *drivermodel.Model, txFrames, rxFrames 
 		if err != nil {
 			t.Fatalf("%s: deliver: %v", model.Name, err)
 		}
-		res.delivered = append(res.delivered, pkts...)
+		// Delivered frames are reused by the next delivery: keep copies.
+		for _, p := range pkts {
+			res.delivered = append(res.delivered, append([]byte(nil), p...))
+		}
 		recvd += len(pkts)
 		if len(pkts) != burst {
 			t.Fatalf("%s: burst of %d delivered %d", model.Name, burst, len(pkts))
@@ -186,7 +189,9 @@ func runDifferential(t *testing.T, model *drivermodel.Model, txFrames, rxFrames 
 				if err != nil {
 					t.Fatalf("%s: copy-control deliver: %v", model.Name, err)
 				}
-				res.copyCtl = append(res.copyCtl, pkts...)
+				for _, p := range pkts {
+					res.copyCtl = append(res.copyCtl, append([]byte(nil), p...))
+				}
 				recvd += len(pkts)
 				if len(pkts) != burst {
 					t.Fatalf("%s: copy-control burst of %d delivered %d", model.Name, burst, len(pkts))

@@ -23,17 +23,17 @@ func raceBuild() bool {
 }
 
 // TestHotPathAllocBudget pins the host allocations of the two warm
-// per-packet paths. The simulated machine allocates nothing per packet of
-// its own accord: what is left is the delivery API handing the guest a
-// fresh slice per frame. A change that raises either count has put an
-// allocation back on the hot path.
+// per-packet paths at zero: the simulated machine allocates nothing per
+// packet, and DeliverPending hands the guest its frames in buffers the
+// guest's receive queue reuses. A change that raises either count has put
+// an allocation back on the hot path.
 func TestHotPathAllocBudget(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector's instrumentation allocates; the budget is for plain builds")
 	}
 	const (
 		txBudget = 0
-		rxBudget = 2 // DeliverPending: the frame's bytes and the slice of frames
+		rxBudget = 0
 	)
 	m, tw, err := NewTwinMachine(1, 1, TwinConfig{})
 	if err != nil {

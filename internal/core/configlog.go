@@ -235,8 +235,8 @@ func (t *Twin) replayConfig() error {
 			// The TLB shootdown's DMA counterpart: no pin outlives the
 			// instance whose TLB validated it (the abort already swept
 			// them; replay re-asserts the invariant idempotently).
-			t.txPins = make(map[uint32]*txPin)
-			t.pinsBySkb = make(map[uint32][]uint32)
+			clear(t.txPins)
+			clear(t.pinsBySkb)
 		}
 	}
 	return nil

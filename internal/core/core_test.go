@@ -671,7 +671,7 @@ func TestTwinSmallStlbStillCorrect(t *testing.T) {
 	// A 16-entry table collides (the interrupt path's ICR register page
 	// shares a slot with the adapter page) but must stay correct: the
 	// chain backing store refills evicted entries.
-	run := func(entries int) (*Twin, [][]byte) {
+	run := func(entries int) *Twin {
 		m, tw, err := NewTwinMachine(1, 1, TwinConfig{STLBEntries: entries})
 		if err != nil {
 			t.Fatal(err)
@@ -679,7 +679,6 @@ func TestTwinSmallStlbStillCorrect(t *testing.T) {
 		d := m.Devs[0]
 		capture(d)
 		m.HV.Switch(m.DomU)
-		var delivered [][]byte
 		for i := 0; i < 60; i++ {
 			tx := EthernetFrame([6]byte{1, 1, 1, 1, 1, 1}, d.NIC.MAC, 0x0800, payload(700, byte(i)))
 			if err := tw.GuestTransmit(d, tx); err != nil {
@@ -699,15 +698,14 @@ func TestTwinSmallStlbStillCorrect(t *testing.T) {
 			if len(pkts) != 1 || !bytes.Equal(pkts[0], rx) {
 				t.Fatalf("pkt %d corrupted with %d-entry stlb", i, entries)
 			}
-			delivered = append(delivered, pkts...)
 		}
-		return tw, delivered
+		return tw
 	}
-	small, _ := run(16)
+	small := run(16)
 	if small.SV.ChainRefills == 0 {
 		t.Error("a 16-entry table should collide on the RX path (no refills seen)")
 	}
-	big, _ := run(4096)
+	big := run(4096)
 	if big.SV.ChainRefills >= small.SV.ChainRefills {
 		t.Errorf("4096-entry refills (%d) not below 16-entry refills (%d)",
 			big.SV.ChainRefills, small.SV.ChainRefills)

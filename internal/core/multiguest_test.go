@@ -331,6 +331,49 @@ func TestMultiGuestReceiveCoalescedPerGuest(t *testing.T) {
 	}
 }
 
+// TestCopyDeliveryBuffersArePerGuest: a copy delivery's frames live in
+// buffers the guest's receive queue reuses, valid until the next delivery
+// to the same guest — so deliveries to another guest, of more and larger
+// frames than the first guest's buffer holds, must leave them intact.
+func TestCopyDeliveryBuffersArePerGuest(t *testing.T) {
+	m, tw, err := NewTwinMachine(1, 2, TwinConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := m.Devs[0]
+	macs := make([][6]byte, len(m.Guests))
+	for g, dom := range m.Guests {
+		macs[g] = [6]byte{0x02, 0x54, 0x57, 0x49, 0x4E, byte(g)}
+		tw.RegisterGuestMAC(macs[g], dom.ID)
+	}
+	m.HV.Switch(m.DomU)
+	deliver := func(g, n, size int, seed byte) (got, want [][]byte) {
+		for i := 0; i < n; i++ {
+			f := EthernetFrame(macs[g], [6]byte{1, 1, 1, 1, 1, byte(i)}, 0x0800, payload(size, seed+byte(i)))
+			if !d.NIC.Inject(f) {
+				t.Fatal("inject")
+			}
+			want = append(want, f)
+		}
+		if err := tw.HandleIRQ(d); err != nil {
+			t.Fatal(err)
+		}
+		got, err := tw.DeliverPending(m.Guests[g])
+		if err != nil || len(got) != n {
+			t.Fatalf("guest %d: delivered %d of %d: %v", g, len(got), n, err)
+		}
+		return got, want
+	}
+	gotA, wantA := deliver(0, 2, 300, 0x10)
+	deliver(1, 4, 1400, 0x20)
+	deliver(1, 4, 1400, 0x30)
+	for i := range wantA {
+		if !bytes.Equal(gotA[i], wantA[i]) {
+			t.Errorf("guest 0 frame %d changed under deliveries to guest 1", i)
+		}
+	}
+}
+
 // TestStageOnFullRingDoesNotClobber: on a full ring the producer slot
 // aliases the oldest unconsumed descriptor's staging buffer, so staging
 // must refuse BEFORE writing — otherwise backpressure silently corrupts a

@@ -182,7 +182,10 @@ func TestDeliverBatchReturnsRemainingOnFault(t *testing.T) {
 	if rq.len() != n {
 		t.Fatalf("queued %d", rq.len())
 	}
-	q := rq.skbs[rq.head:]
+	q := make([]uint32, rq.len())
+	for i := range q {
+		q[i] = rq.skbs[(rq.head+i)%len(rq.skbs)]
+	}
 	// Every queued skb should now be pool-provenance; corrupt the third
 	// packet's data pointer so its translate faults mid-batch.
 	pooled := 0

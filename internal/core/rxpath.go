@@ -85,40 +85,38 @@ func (e *DeliveryError) Unwrap() error { return e.Cause }
 // posted-receive ring (not a guest of this twin).
 var ErrNoRxRing = errors.New("core: domain has no posted-receive ring")
 
-// rxQueue is one guest's received-but-undelivered packet queue. Dequeue
-// advances a head index instead of shifting the backing slice, so draining
-// a deep queue in bounded batches is O(n) overall, not O(n²).
+// rxQueue is one guest's received-but-undelivered packet queue: a ring of
+// skb addresses that doubles when full, so it holds O(deepest backlog)
+// memory and never reallocates once warm, and a dequeue is O(1). It also
+// owns the guest's copy-delivery buffers: the frame bytes and the frame
+// list the last DeliverPendingBatch returned, reused by the next.
 type rxQueue struct {
-	skbs []uint32
-	head int
+	skbs    []uint32 // ring storage; its length is the capacity
+	head, n int
+
+	frames []byte   // bytes of the last copy delivery's frames
+	out    [][]byte // the last copy delivery's frames, sub-slices of frames
 }
 
-func (q *rxQueue) push(skb uint32) { q.skbs = append(q.skbs, skb) }
+func (q *rxQueue) len() int { return q.n }
 
-func (q *rxQueue) len() int { return len(q.skbs) - q.head }
+func (q *rxQueue) push(skb uint32) {
+	if q.n == len(q.skbs) {
+		grown := make([]uint32, max(2*len(q.skbs), 16))
+		k := copy(grown, q.skbs[q.head:])
+		copy(grown[k:], q.skbs[:q.head])
+		q.skbs, q.head = grown, 0
+	}
+	q.skbs[(q.head+q.n)%len(q.skbs)] = skb
+	q.n++
+}
 
-// popN dequeues up to n packets (all of them when n <= 0). The consumed
-// prefix is compacted away once it outgrows the live remainder, so a queue
-// with a sustained backlog holds O(backlog) memory, not O(everything ever
-// queued).
-func (q *rxQueue) popN(n int) []uint32 {
-	avail := q.len()
-	if n <= 0 || n > avail {
-		n = avail
-	}
-	out := q.skbs[q.head : q.head+n]
-	q.head += n
-	switch {
-	case q.head == len(q.skbs):
-		q.skbs = q.skbs[:0]
-		q.head = 0
-	case q.head > len(q.skbs)/2:
-		// The returned slice aliases the consumed prefix, so compaction
-		// must copy the live tail into a fresh backing array.
-		q.skbs = append([]uint32(nil), q.skbs[q.head:]...)
-		q.head = 0
-	}
-	return out
+// pop dequeues the oldest packet; the queue must not be empty.
+func (q *rxQueue) pop() uint32 {
+	skb := q.skbs[q.head]
+	q.head = (q.head + 1) % len(q.skbs)
+	q.n--
+	return skb
 }
 
 // PostRxBuffers publishes receive buffers on a guest's posted-receive ring
@@ -170,6 +168,10 @@ func (t *Twin) RxPostedFree(dom mem.Owner) (int, error) {
 // continues. A scribbled ring header stops the batch with ErrRingCorrupt
 // after resetting the ring; frames already delivered are reported, the
 // rest stay queued for re-posted buffers.
+//
+// The returned RxDelivery and its Frames belong to the guest's I/O state
+// and are reused: they are valid only until the next DeliverPendingPosted
+// for the same guest, so a caller that keeps them past that must copy them.
 func (t *Twin) DeliverPendingPosted(dom *xen.Domain, max int) (*RxDelivery, error) {
 	if t.Dead {
 		return nil, ErrDriverDead
@@ -178,11 +180,12 @@ func (t *Twin) DeliverPendingPosted(dom *xen.Domain, max int) (*RxDelivery, erro
 	if !ok {
 		return nil, fmt.Errorf("%w: domain %q", ErrNoRxRing, dom.Name)
 	}
+	del := &g.rxDel
+	del.Frames, del.Lost = del.Frames[:0], 0
 	q := t.rxQueues[dom.ID]
 	if q == nil || q.len() == 0 {
-		return &RxDelivery{}, nil
+		return del, nil
 	}
-	del := &RxDelivery{}
 	meter := t.M.HV.Meter
 	as := t.M.Dom0.AS
 	consumed := 0
@@ -200,7 +203,7 @@ func (t *Twin) DeliverPendingPosted(dom *xen.Domain, max int) (*RxDelivery, erro
 		if !ok {
 			break // no posted buffer: the remainder stays queued
 		}
-		skb := q.popN(1)[0]
+		skb := q.pop()
 		consumed++
 		data, _ := as.Load(skb+kernel.SkbData, 4)
 		ln, _ := as.Load(skb+kernel.SkbLen, 4)
@@ -275,7 +278,9 @@ func pageSpans(buf *spanBuf, addr uint32, n int, translate func(uint32) (uint32,
 
 // copyToPosted copies total bytes of a received frame starting at dom0
 // virtual address start into the guest buffer at gaddr, translating every
-// destination page separately through the guest's software TLB.
+// destination page separately through the guest's software TLB. The whole
+// source is read, through the twin's bounce buffer, before the first guest
+// byte moves.
 func (t *Twin) copyToPosted(g *guestIO, gaddr uint32, start uint32, total int, meter *cycles.Meter) error {
 	var buf spanBuf
 	spans, err := pageSpans(&buf, gaddr, total, func(a uint32) (uint32, error) {
@@ -284,8 +289,11 @@ func (t *Twin) copyToPosted(g *guestIO, gaddr uint32, start uint32, total int, m
 	if err != nil {
 		return err
 	}
-	src, err := t.M.Dom0.AS.ReadBytes(start, total)
-	if err != nil {
+	if cap(t.rxBounce) < total {
+		t.rxBounce = make([]byte, total)
+	}
+	src := t.rxBounce[:total]
+	if err := t.M.Dom0.AS.ReadInto(start, src); err != nil {
 		return err
 	}
 	meter.AddTo(cycles.CompXen, uint64(total)*cost.HvCopyPerByte)

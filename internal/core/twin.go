@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"twindrivers/internal/asm"
@@ -228,14 +229,15 @@ type Twin struct {
 	stackViolGate uint32
 	entryName     map[uint32]string
 	faultLog      []FaultRecord
-	pool          []uint32          // free pooled skbs
-	outstanding   map[uint32]bool   // pooled skbs handed out and not yet returned
-	fragBuf       map[uint32]uint32 // pooled skb -> preallocated frag buffer
-	txPins        map[uint32]*txPin // guest VA page -> pinned posted-TX translation
-	pinsBySkb     map[uint32][]uint32
+	pool          []uint32           // free pooled skbs
+	outstanding   map[uint32]bool    // pooled skbs handed out and not yet returned
+	fragBuf       map[uint32]uint32  // pooled skb -> preallocated frag buffer
+	txPins        map[uint32]txPin   // guest VA page -> pinned posted-TX translation
+	pinsBySkb     map[uint32]skbPins // pooled skb -> the pages its posted frame pins
 	rxQueues      map[mem.Owner]*rxQueue
 	macToDom      map[[6]byte]mem.Owner
 	pendingIRQ    []*NICDev // deferred while dom0 masks virtual interrupts
+	rxBounce      []byte    // copyToPosted's source bounce buffer, reused per frame
 
 	// vsw is the inter-guest L2 switch, nil when disabled: the transmit
 	// path only consults it behind a nil check, so the switched-off
@@ -291,6 +293,7 @@ type guestIO struct {
 
 	rxRing *mem.Ring     // guest-posted receive buffer descriptors
 	gtlb   *svm.GuestTLB // cached guest-address translations for delivery
+	rxDel  RxDelivery    // the last posted delivery's result, reused by the next
 
 	txRing     *mem.Ring // guest-posted transmit scatter/gather descriptors
 	postedLost uint64    // posted-TX frames lost to containment, lifetime
@@ -374,8 +377,8 @@ func loadTwin(m *Machine, cfg TwinConfig) (*Twin, error) {
 		hvSupport:   make(map[string]bool),
 		fragBuf:     make(map[uint32]uint32),
 		outstanding: make(map[uint32]bool),
-		txPins:      make(map[uint32]*txPin),
-		pinsBySkb:   make(map[uint32][]uint32),
+		txPins:      make(map[uint32]txPin),
+		pinsBySkb:   make(map[uint32]skbPins),
 		rxQueues:    make(map[mem.Owner]*rxQueue),
 		macToDom:    make(map[[6]byte]mem.Owner),
 	}
@@ -756,13 +759,12 @@ func (t *Twin) abort(entry uint32, cause error) {
 	for _, dom := range doms {
 		q := t.rxQueues[dom]
 		st.RxPendingDropped += q.len()
-		for _, skb := range q.popN(0) {
-			if !seen[skb] {
+		for q.len() > 0 {
+			if skb := q.pop(); !seen[skb] {
 				seen[skb] = true
 				t.poolFreeOrKernel(skb)
 			}
 		}
-		delete(t.rxQueues, dom)
 	}
 	for _, id := range t.guestOrder {
 		g := t.guestIO[id]
@@ -786,8 +788,8 @@ func (t *Twin) abort(entry uint32, cause error) {
 	// die with the device rings, and a revived instance must never DMA
 	// through a translation validated for its predecessor.
 	st.TxPinsReleased = len(t.txPins)
-	t.txPins = make(map[uint32]*txPin)
-	t.pinsBySkb = make(map[uint32][]uint32)
+	clear(t.txPins)
+	clear(t.pinsBySkb)
 	left := make([]uint32, 0, len(t.outstanding))
 	for skb := range t.outstanding {
 		left = append(left, skb)
@@ -925,16 +927,20 @@ func (t *Twin) queueRx(dom mem.Owner, skb uint32) {
 
 // DeliverPending copies every queued received packet into guest buffers
 // (the hypervisor's per-packet copy that dominates its receive overhead in
-// Figure 8) and raises one virtual interrupt. It returns the packets.
+// Figure 8) and raises one virtual interrupt. It returns the packets, valid
+// until the next copy delivery to the same guest (see DeliverPendingBatch).
 func (t *Twin) DeliverPending(dom *xen.Domain) ([][]byte, error) {
 	return t.DeliverPendingBatch(dom, 0)
 }
 
 // DeliverPendingBatch delivers at most max queued packets (0 means all),
-// raising a single coalesced guest notification for the whole batch. The
-// queue is consumed by index (rxQueue), so draining a deep queue in
-// bounded batches costs O(n) overall instead of re-shifting the remainder
-// on every call.
+// raising a single coalesced guest notification for the whole batch.
+//
+// The returned frames, and the slice holding them, live in buffers the
+// guest's receive queue owns and reuses: they are valid only until the
+// next DeliverPending or DeliverPendingBatch for the same guest (a
+// delivery to another guest leaves them alone), so a caller that keeps a
+// frame past that must copy it.
 //
 // A mid-batch fault (a translate or read failure over a scribbled skb)
 // drops the rest of the dequeued batch but returns the frames already
@@ -946,48 +952,58 @@ func (t *Twin) DeliverPendingBatch(dom *xen.Domain, max int) ([][]byte, error) {
 	if rq == nil || rq.len() == 0 {
 		return nil, nil
 	}
-	q := rq.popN(max)
+	n := rq.len()
+	if max > 0 && max < n {
+		n = max
+	}
 	meter := t.M.HV.Meter
-	var out [][]byte
-	for i, skb := range q {
-		as := t.M.Dom0.AS
+	as := t.M.Dom0.AS
+	buf, out := rq.frames[:0], rq.out[:0]
+	for i := 0; i < n; i++ {
+		skb := rq.pop()
 		data, _ := as.Load(skb+kernel.SkbData, 4)
 		ln, _ := as.Load(skb+kernel.SkbLen, 4)
 		// eth_type_trans pulled the 14-byte header; the guest receives
 		// the full frame.
 		start := data - 14
 		total := int(ln) + 14
+		off := len(buf)
 		ta, err := t.SV.Translate(meter, start)
-		if err != nil {
-			return out, t.deliveryFault(dom, out, q[i:], err)
+		if err == nil {
+			meter.AddTo(cycles.CompXen, uint64(total)*cost.HvCopyPerByte)
+			meter.TouchLines(ta, total)
+			// A grown buffer moves; the frames already returned keep
+			// pointing at the old one, which nothing writes again.
+			buf = slices.Grow(buf, total)[:off+total]
+			err = as.ReadInto(start, buf[off:])
 		}
-		meter.AddTo(cycles.CompXen, uint64(total)*cost.HvCopyPerByte)
-		meter.TouchLines(ta, total)
-		pkt, err := t.M.Dom0.AS.ReadBytes(start, total)
 		if err != nil {
-			return out, t.deliveryFault(dom, out, q[i:], err)
+			rq.frames, rq.out = buf[:off], out
+			return out, t.deliveryFault(dom, rq, out, skb, n-1-i, err)
 		}
-		out = append(out, pkt)
+		out = append(out, buf[off:off+total:off+total])
 		t.poolFreeOrKernel(skb)
 	}
+	rq.frames, rq.out = buf, out
 	t.Coalescer.Deliver(dom)
 	return out, nil
 }
 
-// deliveryFault settles a mid-batch delivery failure: the dequeued
-// remainder is dropped (buffers back to the pool or slab — every aborted
-// batch must not shrink transmit capacity), the frames already delivered
-// get their coalesced notification, and the caller receives a
-// *DeliveryError with the exact delivered/dropped split so loss is
-// accounted exactly once.
-func (t *Twin) deliveryFault(dom *xen.Domain, out [][]byte, rest []uint32, cause error) error {
-	for _, skb := range rest {
-		t.poolFreeOrKernel(skb)
+// deliveryFault settles a mid-batch delivery failure: the failed skb, and
+// the batch's remaining rest skbs still on q, are dropped (buffers back to
+// the pool or slab — every aborted batch must not shrink transmit capacity),
+// the frames already delivered get their coalesced notification, and the
+// caller receives a *DeliveryError with the exact delivered/dropped split
+// so loss is accounted exactly once.
+func (t *Twin) deliveryFault(dom *xen.Domain, q *rxQueue, out [][]byte, failed uint32, rest int, cause error) error {
+	t.poolFreeOrKernel(failed)
+	for k := 0; k < rest; k++ {
+		t.poolFreeOrKernel(q.pop())
 	}
 	if len(out) > 0 {
 		t.Coalescer.Deliver(dom)
 	}
-	return &DeliveryError{Delivered: len(out), Dropped: len(rest), Cause: cause}
+	return &DeliveryError{Delivered: len(out), Dropped: 1 + rest, Cause: cause}
 }
 
 // poolFreeOrKernel returns an skb to the hypervisor pool or to the dom0

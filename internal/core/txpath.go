@@ -55,6 +55,14 @@ type txPin struct {
 	refs int    // posted frames currently spanning this page
 }
 
+// skbPins lists the guest virtual pages one posted frame's sk_buff pins. A
+// frame is at most kernel.SkbBufSize bytes, so it spans at most two pages —
+// the bound pageSpans' spanBuf holds too.
+type skbPins struct {
+	vps [2]uint32
+	n   int
+}
+
 // PostTxDescriptors publishes transmit descriptors on a guest's
 // posted-transmit ring without crossing the virtualization boundary (the
 // ring is shared memory, like the staging ring). It returns how many were
@@ -130,32 +138,37 @@ func (t *Twin) PinnedTxPages() int { return len(t.txPins) }
 // page posted by two in-flight frames is reference-counted, not
 // double-pinned.
 func (t *Twin) pinSpans(skb, addr uint32, spans []pageSpan) {
+	var held skbPins
 	off := uint32(0)
 	for _, sp := range spans {
 		vp := (addr + off) &^ uint32(mem.PageMask)
-		pp := sp.pa &^ uint32(mem.PageMask)
-		if pin, ok := t.txPins[vp]; ok {
-			pin.refs++
-		} else {
-			t.txPins[vp] = &txPin{pa: pp, refs: 1}
+		pin, ok := t.txPins[vp]
+		if !ok {
+			pin.pa = sp.pa &^ uint32(mem.PageMask)
 		}
-		t.pinsBySkb[skb] = append(t.pinsBySkb[skb], vp)
+		pin.refs++
+		t.txPins[vp] = pin
+		held.vps[held.n] = vp
+		held.n++
 		off += uint32(sp.bytes)
 	}
+	t.pinsBySkb[skb] = held
 }
 
 // unpinSkb releases the pins a posted frame's sk_buff holds; a no-op for
 // buffers that never carried a posted frame.
 func (t *Twin) unpinSkb(skb uint32) {
-	vps, ok := t.pinsBySkb[skb]
+	held, ok := t.pinsBySkb[skb]
 	if !ok {
 		return
 	}
-	for _, vp := range vps {
+	for _, vp := range held.vps[:held.n] {
 		if pin, ok := t.txPins[vp]; ok {
 			pin.refs--
 			if pin.refs == 0 {
 				delete(t.txPins, vp)
+			} else {
+				t.txPins[vp] = pin
 			}
 		}
 	}

@@ -8,8 +8,8 @@ import (
 // that guards the payload arithmetic (a size below the 14-byte Ethernet
 // header must error, not panic in make()), the Ethernet-minimum padding,
 // and the address placement — in both traffic directions. The Path's
-// frame builder only touches its sequence counter, so a zero-value Path
-// exercises the real code.
+// frame builder only touches its sequence counter and frame slots, so a
+// zero-value Path exercises the real code.
 func FuzzFrame(f *testing.F) {
 	f.Add(-1, byte(0))
 	f.Add(0, byte(1))
@@ -27,7 +27,7 @@ func FuzzFrame(f *testing.F) {
 		p := &Path{rxSeq: seq}
 		mac := [6]byte{0x02, 0xFA, 0xCE, 0, 0, 1}
 		for _, rx := range []bool{true, false} {
-			frame, err := p.buildFrame(mac, rx, size)
+			frame, err := p.buildFrame(0, mac, rx, size)
 			if size < 14 {
 				if err == nil {
 					t.Fatalf("size %d below the Ethernet header accepted", size)

@@ -128,6 +128,14 @@ type Path struct {
 	rxSeq     byte
 	tally     []tally // per-guest progress of the last twin burst, one per guest
 
+	// frames holds the bytes of the frames one round builds, one buffer per
+	// frame the round stages, cleared and refilled every round; txPosts and
+	// rxPosts are the descriptor lists the posted rings take. Each is dead
+	// once the round has copied it into guest memory, the device or a ring.
+	frames  [core.TxRingSlots][]byte
+	txPosts [core.TxRingSlots]core.TxPost
+	rxPosts [core.RxRingSlots]core.RxPost
+
 	// rxArena holds each guest's posted-receive buffers (PostedRX mode),
 	// allocated lazily so the legacy path's heap layout — and therefore
 	// its pinned cycle measurements — stays untouched when posting is off.
@@ -151,9 +159,9 @@ type postedArena struct {
 	next  int
 }
 
-// take returns the next n buffer addresses, recycling round-robin.
-func (a *postedArena) take(n int) []core.RxPost {
-	bufs := make([]core.RxPost, n)
+// take fills bufs with the next len(bufs) buffer addresses, recycling
+// round-robin, and returns it.
+func (a *postedArena) take(bufs []core.RxPost) []core.RxPost {
 	for i := range bufs {
 		bufs[i] = core.RxPost{Addr: a.slots[a.next], Len: RxSlotBytes}
 		a.next = (a.next + 1) % len(a.slots)
@@ -180,11 +188,12 @@ func (p *Path) arena(arenas map[mem.Owner]*postedArena, dom *xen.Domain, n int, 
 	return a
 }
 
-// postBuffers posts n receive buffers from the guest's arena, charging the
-// guest-side posting work, and returns how many the ring accepted.
+// postBuffers posts n (at most core.RxRingSlots) receive buffers from the
+// guest's arena, charging the guest-side posting work, and returns how many
+// the ring accepted.
 func (p *Path) postBuffers(dom *xen.Domain, n int) (int, error) {
 	a := p.arena(p.rxArena, dom, core.RxRingSlots, RxSlotBytes)
-	posted, err := p.T.PostRxBuffers(dom, a.take(n))
+	posted, err := p.T.PostRxBuffers(dom, a.take(p.rxPosts[:n]))
 	if err != nil {
 		return posted, err
 	}
@@ -258,14 +267,16 @@ func (p *Path) ResetMeasurement() {
 	p.TxCount, p.RxCount = 0, 0
 }
 
-// buildFrame builds the next frame of the path's sequence in one
-// allocation: Ethernet header, the sparse payload pattern, zero padding to
-// the 60-byte minimum. local is the machine's end — the destination of a
-// received frame, the source of a transmitted one; the other end is a
-// synthetic peer numbered with the sequence byte. Sizes below the 14-byte
-// Ethernet header are rejected rather than panicking in the payload
-// arithmetic.
-func (p *Path) buildFrame(local [6]byte, rx bool, size int) ([]byte, error) {
+// buildFrame builds the next frame of the path's sequence into frame slot
+// slot (< core.TxRingSlots): Ethernet header, the sparse payload pattern,
+// zero padding to the 60-byte minimum. The slot's buffer is cleared and
+// reused, so the frame is valid until the next build into the same slot;
+// only a frame larger than any the slot held before allocates. local is the
+// machine's end — the destination of a received frame, the source of a
+// transmitted one; the other end is a synthetic peer numbered with the
+// sequence byte. Sizes below the 14-byte Ethernet header are rejected
+// rather than panicking in the payload arithmetic.
+func (p *Path) buildFrame(slot int, local [6]byte, rx bool, size int) ([]byte, error) {
 	if size < 14 {
 		return nil, fmt.Errorf("netpath: frame size %d is below the 14-byte Ethernet header", size)
 	}
@@ -274,7 +285,15 @@ func (p *Path) buildFrame(local [6]byte, rx bool, size int) ([]byte, error) {
 	if rx {
 		dst, src = local, [6]byte{0, 0x50, 0x56, 1, 2, p.rxSeq}
 	}
-	f := make([]byte, max(size, 60))
+	n := max(size, 60)
+	f := p.frames[slot]
+	if cap(f) < n {
+		f = make([]byte, n)
+	} else {
+		f = f[:n]
+		clear(f)
+	}
+	p.frames[slot] = f
 	copy(f[0:6], dst[:])
 	copy(f[6:12], src[:])
 	f[12], f[13] = 0x08, 0x00 // IPv4
@@ -364,7 +383,7 @@ func (p *Path) burst(i, size, n int, rx bool) (int, error) {
 
 // native moves one size-byte frame through a configuration without a twin.
 func (p *Path) native(d *core.NICDev, size int, rx bool) error {
-	frame, err := p.buildFrame(d.Dev.HWAddr(), rx, size)
+	frame, err := p.buildFrame(0, d.Dev.HWAddr(), rx, size)
 	if err != nil {
 		return err
 	}
@@ -593,8 +612,7 @@ func (p *Path) sendRound(d *core.NICDev, size int, guests []*xen.Domain, cross *
 		if t[g].need == 0 {
 			continue
 		}
-		var buf [core.TxRingSlots][]byte
-		frames, err := p.txFrames(buf[:0], d.Dev.HWAddr(), size, t[g].need)
+		frames, err := p.txFrames(d.Dev.HWAddr(), size, t[g].need)
 		if err != nil {
 			return staged, 0, err
 		}
@@ -718,7 +736,9 @@ func (p *Path) receiveWave(d *core.NICDev, size int, guests []*xen.Domain, macs 
 			mac = macs[g]
 		}
 		for k := 0; k < t[g].round; k++ {
-			f, err := p.buildFrame(mac, true, size)
+			// Inject copies the frame into the device, so one slot serves
+			// the whole wave.
+			f, err := p.buildFrame(0, mac, true, size)
 			if err != nil {
 				return injected, 0, err
 			}
@@ -783,17 +803,16 @@ func (p *Path) deliverGuest(dom *xen.Domain, max int, posted bool) (int, error) 
 	return len(pkts), err
 }
 
-// txFrames appends count size-byte transmit frames sourced from src to
-// frames, in generation order.
-func (p *Path) txFrames(frames [][]byte, src [6]byte, size, count int) ([][]byte, error) {
+// txFrames builds count (at most core.TxRingSlots) size-byte transmit
+// frames sourced from src into the frame slots, in generation order, and
+// returns them: valid until the next round builds frames.
+func (p *Path) txFrames(src [6]byte, size, count int) ([][]byte, error) {
 	for k := 0; k < count; k++ {
-		f, err := p.buildFrame(src, false, size)
-		if err != nil {
+		if _, err := p.buildFrame(k, src, false, size); err != nil {
 			return nil, err
 		}
-		frames = append(frames, f)
 	}
-	return frames, nil
+	return p.frames[:count], nil
 }
 
 // stageTx is the guest-side transmit producer: it moves one guest's
@@ -818,7 +837,7 @@ func (p *Path) stageTx(dom *xen.Domain, frames [][]byte, posted bool, cross *cor
 		return p.T.StageTransmitBatch(dom, frames)
 	}
 	a := p.arena(p.txArena, dom, core.TxRingSlots, core.TxSlotBytes)
-	descs := make([]core.TxPost, 0, len(frames))
+	descs := p.txPosts[:0]
 	for _, f := range frames {
 		slot := a.slots[a.next]
 		a.next = (a.next + 1) % len(a.slots)
@@ -915,8 +934,7 @@ func (p *Path) SendContended(i, size, crossings, budget int) (map[mem.Owner]int,
 			if want <= 0 {
 				continue
 			}
-			var buf [core.TxRingSlots][]byte
-			frames, err := p.txFrames(buf[:0], p.guestMACs[g], size, want)
+			frames, err := p.txFrames(p.guestMACs[g], size, want)
 			if err != nil {
 				return total, err
 			}
@@ -974,8 +992,7 @@ func (p *Path) SendLocal(i, size, n, src, dst int) (int, error) {
 		// Guest src: kernel stack + staging copy for each frame (always the
 		// copy path, whatever PostedTX says), then one crossing drains the
 		// batch.
-		var buf [core.TxRingSlots][]byte
-		frames, err := p.txFrames(buf[:0], p.guestMACs[src], size, chunk)
+		frames, err := p.txFrames(p.guestMACs[src], size, chunk)
 		if err != nil {
 			return done, err
 		}

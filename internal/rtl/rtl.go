@@ -119,6 +119,7 @@ type RTL8139 struct {
 	linkDown          bool
 
 	txbuf []byte // the frame fireTx is sending; reused across frames
+	rxbuf []byte // the header, frame and padding Inject writes; reused across frames
 }
 
 // New creates a controller over physical memory with the given MAC.
@@ -209,7 +210,7 @@ func (r *RTL8139) MMIOWrite(off uint32, size uint32, val uint32) {
 
 func (r *RTL8139) reset() {
 	*r = RTL8139{Name: r.Name, Phys: r.Phys, MAC: r.MAC, IRQ: r.IRQ,
-		OnTransmit: r.OnTransmit, linkDown: r.linkDown, txbuf: r.txbuf}
+		OnTransmit: r.OnTransmit, linkDown: r.linkDown, txbuf: r.txbuf, rxbuf: r.rxbuf}
 }
 
 func (r *RTL8139) maybeInterrupt() {
@@ -307,7 +308,8 @@ func (r *RTL8139) Inject(pkt []byte) bool {
 		r.raise(IntRxOvw)
 		return false
 	}
-	buf := make([]byte, needed)
+	r.rxbuf = append(r.rxbuf[:0], make([]byte, needed)...) // zeroed: the padding is part of the record
+	buf := r.rxbuf
 	status := uint16(RxStROK)
 	buf[0], buf[1] = byte(status), byte(status>>8)
 	wireLen := uint16(len(pkt)) + 4 // the hardware includes the CRC
